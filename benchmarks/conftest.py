@@ -6,9 +6,10 @@ reports; run with ``pytest benchmarks/ --benchmark-only -s`` to see them.
 
 The ``bench`` scale below is the quick preset: it exercises every code
 path end-to-end in seconds.  To regenerate the figures at meaningful
-training scale use the experiment runner directly::
+training scale run each figure's scenario preset (``fig6``, ``fig7``,
+``fig8-modifications``, ``fig8-different``, ``throughput``) directly::
 
-    python -m repro.experiments.runner all --preset standard
+    python -m repro.experiments.runner run <preset> --preset standard
 """
 
 import pytest

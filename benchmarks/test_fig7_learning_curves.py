@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.experiments import fig7
-from repro.experiments.reporting import format_fig7
+from repro import api
+from repro.api.presets import fig7_spec
+from repro.experiments.reporting import format_scenario
 
 # Full experiment runs: excluded from tier-1 (see pyproject addopts);
 # run with `pytest benchmarks -m ''` or the nightly benchmark workflow.
@@ -20,15 +21,16 @@ pytestmark = pytest.mark.slow
 
 @pytest.mark.benchmark(group="fig7")
 def test_fig7_learning_curves(benchmark, bench_scale):
-    result = run_once(benchmark, fig7.run, bench_scale, seed=0)
+    result = run_once(benchmark, api.run, fig7_spec(scale=bench_scale, seed=0))
     print()
-    print(format_fig7(result))
+    print(format_scenario(result))
 
-    for curve in result.curves():
+    mlp, gnn = result.curves["mlp"][0], result.curves["gnn"][0]
+    for curve in (mlp, gnn):
         assert len(curve.timesteps) == bench_scale.total_timesteps // bench_scale.n_steps
         assert all(np.isfinite(r) for r in curve.mean_episode_rewards)
         # Rewards are negative utilisation-ratio sums: strictly below zero.
         assert all(r < 0.0 for r in curve.mean_episode_rewards)
 
     # Same training volume for both agents (the paper's parity premise).
-    assert result.mlp.timesteps == result.gnn.timesteps
+    assert mlp.timesteps == gnn.timesteps

@@ -11,8 +11,9 @@ measured overhead here is 1-2x).
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.experiments import throughput
-from repro.experiments.reporting import format_throughput
+from repro import api
+from repro.api.presets import throughput_spec
+from repro.experiments.reporting import format_scenario
 
 # Full experiment runs: excluded from tier-1 (see pyproject addopts);
 # run with `pytest benchmarks -m ''` or the nightly benchmark workflow.
@@ -21,10 +22,12 @@ pytestmark = pytest.mark.slow
 
 @pytest.mark.benchmark(group="throughput")
 def test_throughput_parity(benchmark, bench_scale):
-    result = run_once(benchmark, throughput.run, bench_scale, seed=0)
+    result = run_once(benchmark, api.run, throughput_spec(scale=bench_scale, seed=0))
     print()
-    print(format_throughput(result))
+    print(format_scenario(result))
 
-    assert result.mlp_fps > 0.0
-    assert result.gnn_fps > 0.0
-    assert result.gnn_overhead < 8.0, result.gnn_overhead
+    mlp_fps, gnn_fps = result.throughput["mlp"], result.throughput["gnn"]
+    assert mlp_fps > 0.0
+    assert gnn_fps > 0.0
+    gnn_overhead = mlp_fps / gnn_fps  # GNN slowdown factor (1.0 = parity)
+    assert gnn_overhead < 8.0, gnn_overhead

@@ -19,10 +19,9 @@ Subpackage map (bottom-up):
                     many DMs/seeds/topologies per call)
 ``repro.envs``      the GDDR routing environments (one-shot / iterative)
 ``repro.policies``  MLP baseline, one-shot GNN, iterative GNN policies
-``repro.tuning``    random-search hyperparameter tuner (OpenTuner subst.)
 ``repro.api``       declarative scenario layer: registry-backed
                     ScenarioSpec + run(spec), JSON in/out
-``repro.experiments`` scale presets, CLI runner, legacy figure shims
+``repro.experiments`` scale presets, CLI runner, text reports
 ==================  =======================================================
 """
 

@@ -5,9 +5,8 @@ five registries from the existing layers:
 
 * **topologies** — every embedded zoo topology (:mod:`repro.graphs.zoo`),
   the random generator families (:mod:`repro.graphs.generators`), and the
-  pool builders used by generalisation scenarios (modification pools,
-  different-graph pools, link-failure sweeps via
-  :mod:`repro.graphs.modifications`);
+  pool builders used by generalisation scenarios (modification pools via
+  :mod:`repro.graphs.modifications`, different-graph pools);
 * **traffic models** — the demand-matrix generators of
   :mod:`repro.traffic.matrices`;
 * **strategies** — the fixed-routing baselines of :mod:`repro.routing`;
@@ -32,8 +31,6 @@ perturbations regardless of evaluation seed.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro.api.registry import (
@@ -54,7 +51,6 @@ from repro.graphs.generators import (
     waxman_network,
 )
 from repro.graphs.modifications import (
-    distinct_link_failures,
     failed_links,
     random_modification,
     remove_random_edge,
@@ -157,49 +153,6 @@ def different_graphs(
     """Paper Fig. 8 'Different Graphs' pools: random 0.5x–2x-sized graphs."""
     pool = different_graphs_pool(base_nodes, num_train + num_test, seed=seed, capacity=capacity)
     return pool[:num_train], pool[num_train:]
-
-
-@register_topology("link_failure_sweep")
-def link_failure_sweep(
-    base: str = "abilene",
-    num_failures: int = 3,
-    seed: int = 0,
-    capacity: float = DEFAULT_CAPACITY,
-) -> tuple[list[Network], list[Network]]:
-    """[deprecated] Train on the intact topology, test on single-link-failure variants.
-
-    Failure sweeps now live on the ``dynamics`` axis: the ``link_flap``
-    model fails links *mid-sequence* and recovers them, scoring every step
-    against the network in force (see the ``link-failure-flap`` preset).
-    This pool builder is kept as a bit-compatible shim — the variant
-    selection is the same draw loop (:func:`distinct_link_failures`), so
-    historical pools and stored results reproduce exactly.
-
-    Each test variant removes one *distinct* random link whose loss keeps
-    the graph connected (``repro.graphs.modifications.remove_random_edge``),
-    so the sweep measures how routing quality degrades under isolated
-    failures; duplicate draws are rejected until ``num_failures`` distinct
-    variants exist.
-    """
-    warnings.warn(
-        "topology 'link_failure_sweep' is deprecated: express failure sweeps "
-        "on the dynamics axis instead (dynamics model 'link_flap', e.g. the "
-        "'link-failure-flap' preset)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if num_failures < 1:
-        raise SpecValidationError(
-            f"link_failure_sweep needs num_failures >= 1, got {num_failures}"
-        )
-    base_net = topology(base, capacity)
-    failed = distinct_link_failures(base_net, num_failures, rng_from_seed(seed))
-    if len(failed) < num_failures:
-        raise SpecValidationError(
-            f"topology {base!r} does not have {num_failures} distinct removable "
-            "links (removals that disconnect it are excluded); reduce num_failures"
-        )
-    return [base_net], [base_net] + failed
 
 
 # ---------------------------------------------------------------------------

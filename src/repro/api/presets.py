@@ -4,7 +4,7 @@ The paper's four evaluation pipelines (Figures 6–8 and the §VIII-D
 throughput check) are expressed here as :class:`ScenarioSpec` presets —
 pure data driven by :func:`repro.api.run` — next to scenarios that the old
 hardwired runners could not express at all: a zoo topology under bursty
-gravity traffic, a link-failure sweep, and an oblivious-vs-learned
+gravity traffic, mid-sequence link failures, and an oblivious-vs-learned
 strategy comparison grid.
 
 ``SCENARIOS`` maps scenario names to zero-argument spec factories;
@@ -12,10 +12,10 @@ strategy comparison grid.
 new entries (a spec object or a factory).  ``runner run <name>`` and
 ``runner list scenarios`` read this registry.
 
-The ``*_spec`` builder functions take ``(preset, seed, overrides)`` so the
-deprecation shims in :mod:`repro.experiments` can reproduce the historical
-seed choreography exactly; the registry entries are the same builders at
-their defaults.
+The figure ``*_spec`` builders take ``(preset, seed, scale)``: ``scale``
+pins an exact :class:`ExperimentScale` (the figure benchmarks use it), and
+the seed choreography matches the pre-API runners exactly.  The registry
+entries are the same builders at their defaults.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def scenario_names() -> list[str]:
 
 
 def _training(preset: str, scale: Optional[ExperimentScale]) -> TrainingSpec:
-    """A TrainingSpec pinning ``scale`` exactly (shim path) or just the preset."""
+    """A TrainingSpec pinning ``scale`` exactly, or just naming the preset."""
     if scale is None:
         return TrainingSpec(preset=preset)
     overrides = {
@@ -207,24 +207,6 @@ def zoo_gravity_burst_spec() -> ScenarioSpec:
         traffic=TrafficSpec(
             "gravity", params={"total_demand": 120_000.0, "concentration": 2.5}
         ),
-        routing=RoutingSpec(
-            policies=(PolicySpec("gnn"),),
-            strategies=(StrategySpec("shortest_path"), StrategySpec("ecmp")),
-        ),
-        training=TrainingSpec("quick"),
-        evaluation=EvaluationSpec(metrics=("utilisation_ratio",), seeds=(0,)),
-    )
-
-
-def link_failure_sweep_spec() -> ScenarioSpec:
-    """Train on intact Abilene; evaluate on single-link-failure variants."""
-    return ScenarioSpec(
-        name="link-failure-sweep",
-        description="train on intact Abilene, evaluate across single-link failures",
-        topology=TopologySpec(
-            "link_failure_sweep", {"base": "abilene", "num_failures": 3, "seed": 0}
-        ),
-        traffic=TrafficSpec("bimodal"),
         routing=RoutingSpec(
             policies=(PolicySpec("gnn"),),
             strategies=(StrategySpec("shortest_path"), StrategySpec("ecmp")),
@@ -438,7 +420,6 @@ register_scenario(fig8_modifications_spec)
 register_scenario(fig8_different_spec)
 register_scenario(throughput_spec)
 register_scenario(zoo_gravity_burst_spec)
-register_scenario(link_failure_sweep_spec)
 register_scenario(strategy_grid_spec)
 register_scenario(zoo_large_sparse_spec)
 register_scenario(random_sparse_240_spec)
@@ -459,7 +440,6 @@ __all__ = [
     "fig8_different_spec",
     "throughput_spec",
     "zoo_gravity_burst_spec",
-    "link_failure_sweep_spec",
     "strategy_grid_spec",
     "zoo_large_sparse_spec",
     "random_sparse_240_spec",

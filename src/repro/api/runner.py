@@ -7,7 +7,7 @@ rides the vectorized engine (:func:`repro.engine.batch_evaluate` /
 :func:`repro.engine.batch_evaluate_routing`).
 
 Seed choreography (kept bit-compatible with the pre-API figure runners so
-the deprecation shims reproduce historical numbers): with scenario seed
+the figure presets reproduce historical numbers): with scenario seed
 ``s``, single-topology scenarios draw one train/test sequence split from
 ``s``; pool scenarios draw per-graph training splits from ``s + 100 + i``
 and held-out test splits from ``s + 200 + i``; the ``i``-th policy trains

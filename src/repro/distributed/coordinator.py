@@ -25,7 +25,6 @@
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys

@@ -31,9 +31,9 @@ class ExperimentScale:
     n_epochs: int
     learning_rate: float = 3e-4
     # Per-agent tuned hyperparameters (the paper tuned each agent with
-    # OpenTuner before training, §VIII-C; these values come from the
-    # equivalent repro.tuning pass).  The MLP baseline needs a gentler
-    # schedule than the GNN to stay stable at reduced training scale.
+    # OpenTuner before training, §VIII-C).  The MLP baseline needs a
+    # gentler schedule than the GNN to stay stable at reduced training
+    # scale.
     mlp_learning_rate: float = 1e-4
     mlp_initial_log_std: float = -1.2
     mlp_linear_lr_decay: bool = True

@@ -1,18 +1,13 @@
 """Plain-text rendering of experiment results.
 
 The harness prints the same rows/series the paper's figures report; these
-helpers keep that formatting in one place for the CLI runner, the
-examples and EXPERIMENTS.md.
+helpers keep that formatting in one place for the CLI runner and the
+figure benchmarks.
 """
 
 from __future__ import annotations
 
 import math
-
-from repro.experiments.fig6 import Fig6Result
-from repro.experiments.fig7 import Fig7Result
-from repro.experiments.fig8 import Fig8Result
-from repro.experiments.throughput import ThroughputResult
 
 
 def _bar(value: float, scale: float = 20.0, maximum: float = 2.5) -> str:
@@ -20,67 +15,6 @@ def _bar(value: float, scale: float = 20.0, maximum: float = 2.5) -> str:
         return ""
     filled = int(round(min(value, maximum) / maximum * scale))
     return "#" * filled
-
-
-def format_fig6(result: Fig6Result) -> str:
-    """Figure 6 as a text table: mean max-utilisation ratio per policy."""
-    lines = [
-        "Figure 6 - Learning to route on a fixed graph (Abilene)",
-        "mean max-utilisation ratio vs LP optimum (lower is better, 1.0 = optimal)",
-        "",
-    ]
-    for label, mean in result.rows():
-        lines.append(f"  {label:<28} {mean:6.3f}  {_bar(mean)}")
-    return "\n".join(lines)
-
-
-def format_fig7(result: Fig7Result, points: int = 10) -> str:
-    """Figure 7 as two downsampled (timesteps, reward) series."""
-    lines = [
-        "Figure 7 - Learning curves (mean total reward per episode; higher is better)",
-        "",
-    ]
-    for curve in result.curves():
-        lines.append(f"  {curve.label}:")
-        n = len(curve.timesteps)
-        if n == 0:
-            lines.append("    (no updates logged)")
-            continue
-        stride = max(1, n // points)
-        for i in range(0, n, stride):
-            lines.append(
-                f"    t={curve.timesteps[i]:>8}  reward={curve.mean_episode_rewards[i]:9.2f}"
-            )
-        if (n - 1) % stride != 0:
-            lines.append(
-                f"    t={curve.timesteps[-1]:>8}  reward={curve.mean_episode_rewards[-1]:9.2f}"
-            )
-    return "\n".join(lines)
-
-
-def format_fig8(result: Fig8Result) -> str:
-    """Figure 8 as a text table: bars per setting and policy."""
-    lines = [
-        "Figure 8 - Generalising to unseen graphs",
-        "mean max-utilisation ratio vs LP optimum (lower is better)",
-        "",
-    ]
-    for setting, policy, mean in result.rows():
-        lines.append(f"  {setting:<22} {policy:<16} {mean:6.3f}  {_bar(mean)}")
-    return "\n".join(lines)
-
-
-def format_throughput(result: ThroughputResult) -> str:
-    """The §VIII-D throughput-parity prose result."""
-    return "\n".join(
-        [
-            "Training throughput (environment steps per second)",
-            f"  MLP agent: {result.mlp_fps:8.1f} fps",
-            f"  GNN agent: {result.gnn_fps:8.1f} fps",
-            f"  GNN overhead factor: {result.gnn_overhead:.2f}x "
-            "(paper: ~1.0, both agents ≈70 fps)",
-        ]
-    )
 
 
 def format_scenario(result) -> str:

@@ -63,37 +63,6 @@ def remove_random_edge(network: Network, rng: np.random.Generator) -> Optional[N
     return _rebuild(network.num_nodes, links, network, "-e")
 
 
-def distinct_link_failures(
-    network: Network, num_failures: int, rng: np.random.Generator
-) -> list[Network]:
-    """Up to ``num_failures`` *distinct* single-link-failure variants.
-
-    Each variant removes one random link whose loss keeps the graph
-    connected; duplicate draws are rejected until enough distinct variants
-    exist or the draw budget (50 per requested failure) runs out, in which
-    case fewer variants are returned and the caller decides whether that
-    is an error.  The draw loop is bit-compatible with the historical
-    ``link_failure_sweep`` pool builder: same RNG consumption, same
-    variants for the same generator state.
-    """
-    if num_failures < 1:
-        raise ValueError(f"need num_failures >= 1, got {num_failures}")
-    failed: list[Network] = []
-    seen: set[frozenset] = set()
-    attempts = 0
-    while len(failed) < num_failures and attempts < 50 * num_failures:
-        attempts += 1
-        candidate = remove_random_edge(network, rng)
-        if candidate is None:
-            continue
-        key = frozenset(tuple(edge) for edge in candidate.edges)
-        if key in seen:
-            continue
-        seen.add(key)
-        failed.append(candidate)
-    return failed
-
-
 def failed_links(base: Network, variant: Network) -> list[tuple[int, int]]:
     """The undirected links of ``base`` absent from ``variant``, sorted."""
     return sorted(_undirected_links(base) - _undirected_links(variant))

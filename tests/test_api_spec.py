@@ -16,7 +16,7 @@ def roundtrip(spec: api.ScenarioSpec) -> api.ScenarioSpec:
 
 class TestRegistry:
     def test_builtin_axes_populated(self):
-        assert {"abilene", "nsfnet", "modification_pool", "link_failure_sweep"} <= set(
+        assert {"abilene", "nsfnet", "modification_pool", "different_graphs"} <= set(
             api.TOPOLOGIES.names()
         )
         assert set(api.TRAFFIC_MODELS.names()) == {"bimodal", "gravity", "sparse", "uniform"}

@@ -3,9 +3,8 @@
 Covers the delta/timeline data layer (fingerprint keying, variant
 memoisation, demand overlays), the hand-computed failure/recovery oracle
 through the batch engine and the environment, spec-level validation and
-hash stability (pre-dynamics spec hashes must stay byte-identical), the
-``link_failure_sweep`` deprecation shim's bit-compatibility, null-dynamics
-bit-identity across ``run``/``sweep``, service rejection, and the CLI
+hash stability (pre-dynamics spec hashes must stay byte-identical),
+null-dynamics bit-identity across ``run``/``sweep``, service rejection, and the CLI
 introspection surface (``list --json`` / ``describe``).
 """
 
@@ -21,7 +20,7 @@ from repro.api.presets import (
     link_failure_flap_spec,
     zoo_large_sparse_linkflap_spec,
 )
-from repro.api.registry import DYNAMICS, TOPOLOGIES
+from repro.api.registry import DYNAMICS
 from repro.api.spec import DynamicsSpec, ScenarioSpec, SpecValidationError
 from repro.api.sweep import sweep
 from repro.engine.evaluate import batch_evaluate_routing, warm_lp_cache
@@ -30,7 +29,7 @@ from repro.envs.routing_env import RoutingEnv
 from repro.experiments.runner import main
 from repro.flows.lp import network_fingerprint
 from repro.graphs.dynamics import NetworkDelta, NetworkTimeline, identity_timeline
-from repro.graphs.modifications import distinct_link_failures, failed_links, remove_random_edge
+from repro.graphs.modifications import failed_links, remove_random_edge
 from repro.graphs.network import Network
 from repro.routing.shortest_path import shortest_path_routing
 from repro.traffic.sequences import DemandSequence
@@ -39,8 +38,12 @@ from repro.utils.seeding import rng_from_seed
 # Captured from HEAD before the dynamics axis landed: the axis must not
 # perturb any pre-existing spec hash (results stores key on these).
 FIG6_HASH = "b859a860b24aeccf233a10a00b02915b0988989d03a5c3d364a9abfa8fd96059"
-LINK_FAILURE_SWEEP_HASH = "9fd5ee1528fff18d217eeecc2a7b5058e16678568127b6b15b4d5706a32a6003"
 ZOO_LARGE_SPARSE_HASH = "59adcceca3f9a6acc413c40ac0de3cc2ab6cb15d3ed8f35a3fcbf63782b1e676"
+# The other figure presets, captured before their legacy runners were
+# deleted: the presets alone must keep addressing the same stored results.
+FIG7_HASH = "84acf9ec3ff51df2c5dd93e0de7ced7788306ad8b0fcadb664c670ebbaaceb4f"
+FIG8_MODIFICATIONS_HASH = "ae8283e7a886c2caa1d5b8b33253e5d717b71da99441a8dd26f3a3f6fa83bed5"
+FIG8_DIFFERENT_HASH = "b8fa232245d15471439a9ed48a610c7b205baf22f278197255c49f39963ec9ee"
 
 
 def cycle4() -> Network:
@@ -350,6 +353,14 @@ class TestDynamicsComponents:
         with pytest.raises(SpecValidationError, match="hotspots"):
             DYNAMICS.get("flash_crowd")(net, 8, hotspots=9)
 
+    def test_failed_links_names_the_missing_link(self):
+        # link_flap turns a degraded variant into its outage delta this way.
+        net = cycle4()
+        variant = remove_random_edge(net, rng_from_seed(0))
+        [link] = failed_links(net, variant)
+        assert link in {(0, 1), (1, 2), (2, 3), (0, 3)}
+        assert failed_links(net, net) == []
+
 
 # ---------------------------------------------------------------------------
 # Spec axis: validation, normalisation, hash stability
@@ -378,8 +389,10 @@ class TestDynamicsSpec:
 
     def test_pre_dynamics_spec_hashes_are_byte_identical_to_head(self):
         assert fig6_spec().spec_hash() == FIG6_HASH
-        assert get_scenario("link-failure-sweep").spec_hash() == LINK_FAILURE_SWEEP_HASH
         assert get_scenario("zoo-large-sparse").spec_hash() == ZOO_LARGE_SPARSE_HASH
+        assert get_scenario("fig7").spec_hash() == FIG7_HASH
+        assert get_scenario("fig8-modifications").spec_hash() == FIG8_MODIFICATIONS_HASH
+        assert get_scenario("fig8-different").spec_hash() == FIG8_DIFFERENT_HASH
 
     def test_dynamic_spec_round_trips_through_json(self):
         spec = zoo_large_sparse_linkflap_spec()
@@ -401,45 +414,6 @@ class TestDynamicsSpec:
         spec = link_failure_flap_spec().with_updates({"dynamics.params.banana": 1})
         with pytest.raises(SpecValidationError, match="rejected params|unexpected"):
             api.run(spec)
-
-
-# ---------------------------------------------------------------------------
-# link_failure_sweep: deprecation shim over the dynamics idea, bit-compat
-# ---------------------------------------------------------------------------
-
-
-class TestLinkFailureSweepShim:
-    def test_builder_warns_and_reproduces_the_historical_pools(self):
-        builder = TOPOLOGIES.get("link_failure_sweep")
-        with pytest.warns(DeprecationWarning, match="dynamics"):
-            train, test = builder(base="abilene", num_failures=3, seed=0)
-        # Bit-compat pin: the historical draw loop, replayed inline.
-        base = TOPOLOGIES.get("abilene")()
-        rng = rng_from_seed(0)
-        expected, seen = [], set()
-        attempts = 0
-        while len(expected) < 3 and attempts < 150:
-            attempts += 1
-            candidate = remove_random_edge(base, rng)
-            if candidate is None:
-                continue
-            key = frozenset(tuple(edge) for edge in candidate.edges)
-            if key in seen:
-                continue
-            seen.add(key)
-            expected.append(candidate)
-        assert train == [base]
-        assert test[0] == base
-        assert [v.edges for v in test[1:]] == [v.edges for v in expected]
-
-    def test_distinct_link_failures_names_the_missing_links(self):
-        net = cycle4()
-        rng = rng_from_seed(0)
-        [variant] = distinct_link_failures(net, 1, rng)
-        [link] = failed_links(net, variant)
-        assert link in {(0, 1), (1, 2), (2, 3), (0, 3)}
-        with pytest.raises(ValueError, match="num_failures"):
-            distinct_link_failures(net, 0, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -495,16 +495,17 @@ class TestBatchEvaluate:
         seqs = [cyclical_sequence(net.num_nodes, 8, 4, seed=i) for i in range(2)]
         return net, seqs
 
-    def test_single_network_matches_evaluate_policy(self):
-        from repro.experiments.evaluate import evaluate_policy
-
+    def test_single_network_matches_list_form(self):
         net, seqs = self._setup()
         policy = GNNPolicy(memory_length=3, latent=8, hidden=8, num_processing_steps=2, seed=0)
-        direct = evaluate_policy(policy, net, seqs, memory_length=3)
+        listed = batch_evaluate(policy, [net], [seqs], memory_length=3)
         batched = batch_evaluate(policy, net, seqs, memory_length=3)
         assert isinstance(batched, BatchEvaluationResult)
         assert len(batched.per_network) == 1
-        np.testing.assert_allclose(batched.per_network[0].ratios, direct.ratios, rtol=1e-12)
+        np.testing.assert_allclose(
+            batched.per_network[0].ratios, listed.per_network[0].ratios, rtol=1e-12
+        )
+        assert batched.combined.ratios == batched.per_network[0].ratios
 
     def test_many_networks_one_call(self):
         net_a = abilene()
@@ -599,6 +600,6 @@ class TestBatchEvaluate:
                 warm_lp_cache(net, seqs, RewardComputer(), memory_length=3, workers=bad)
 
     def test_evaluation_result_reexport(self):
-        from repro.experiments.evaluate import EvaluationResult as Reexported
+        from repro.api import EvaluationResult as Reexported
 
         assert Reexported is EvaluationResult

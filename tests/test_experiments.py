@@ -3,11 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.experiments import evaluate_policy, evaluate_shortest_path, get_preset
-from repro.experiments.config import PRESETS, ExperimentScale, scaled
-from repro.experiments.evaluate import EvaluationResult
+from repro import api, batch_evaluate, batch_evaluate_routing
+from repro.api.presets import (
+    fig6_spec,
+    fig7_spec,
+    fig8_different_spec,
+    fig8_modifications_spec,
+    throughput_spec,
+)
+from repro.engine import EvaluationResult
+from repro.experiments.config import PRESETS, ExperimentScale, get_preset, scaled
+from repro.experiments.reporting import format_scenario
 from repro.graphs import abilene
 from repro.policies import GNNPolicy, IterativeGNNPolicy
+from repro.routing import shortest_path_routing
 from repro.traffic import cyclical_sequence
 
 
@@ -62,7 +71,7 @@ class TestEvaluate:
     def test_evaluate_untrained_gnn_policy(self):
         net, seqs = self._setup()
         policy = GNNPolicy(memory_length=3, latent=8, hidden=8, num_processing_steps=2, seed=0)
-        result = evaluate_policy(policy, net, seqs, memory_length=3)
+        result = batch_evaluate(policy, net, seqs, memory_length=3).per_network[0]
         # one ratio per post-warmup DM per sequence
         assert result.count == 2 * (8 - 3)
         assert result.mean >= 1.0 - 1e-6
@@ -70,25 +79,27 @@ class TestEvaluate:
     def test_evaluate_iterative_policy(self):
         net, seqs = self._setup()
         policy = IterativeGNNPolicy(memory_length=3, latent=8, hidden=8, num_processing_steps=2, seed=0)
-        result = evaluate_policy(policy, net, seqs, memory_length=3, iterative=True)
+        result = batch_evaluate(policy, net, seqs, memory_length=3, iterative=True).per_network[0]
         assert result.count == 2 * (8 - 3)
 
     def test_shortest_path_baseline(self):
         net, seqs = self._setup()
-        result = evaluate_shortest_path(net, seqs, memory_length=3)
+        result = batch_evaluate_routing(
+            shortest_path_routing, net, seqs, memory_length=3
+        ).per_network[0]
         assert result.count == 2 * (8 - 3)
         assert result.mean >= 1.0
 
     def test_deterministic_evaluation(self):
         net, seqs = self._setup()
         policy = GNNPolicy(memory_length=3, latent=8, hidden=8, seed=0)
-        a = evaluate_policy(policy, net, seqs, memory_length=3)
-        b = evaluate_policy(policy, net, seqs, memory_length=3)
+        a = batch_evaluate(policy, net, seqs, memory_length=3)
+        b = batch_evaluate(policy, net, seqs, memory_length=3)
         assert a.ratios == b.ratios
 
 
 class TestRunners:
-    """Quick-preset smoke runs of each figure's experiment."""
+    """Test-sized runs of each figure's scenario preset through the API."""
 
     TINY = ExperimentScale(
         total_timesteps=64,
@@ -109,57 +120,41 @@ class TestRunners:
     )
 
     def test_fig6_runs_and_reports(self):
-        from repro.experiments import fig6
-        from repro.experiments.reporting import format_fig6
-
-        result = fig6.run(self.TINY, seed=0)
+        result = api.run(fig6_spec(scale=self.TINY, seed=0))
         rows = result.rows()
-        assert [label for label, _ in rows] == [
-            "MLP",
-            "GNN",
-            "GNN Iterative",
-            "Shortest path (dotted line)",
-        ]
+        assert [label for label, _ in rows] == ["mlp", "gnn", "gnn_iterative", "shortest_path"]
         assert all(mean >= 1.0 - 1e-6 for _, mean in rows)
-        text = format_fig6(result)
-        assert "Figure 6" in text and "MLP" in text
+        text = format_scenario(result)
+        assert "Fig. 6" in text and "mlp" in text
 
     def test_fig7_runs_and_reports(self):
-        from repro.experiments import fig7
-        from repro.experiments.reporting import format_fig7
-
-        result = fig7.run(self.TINY, seed=0)
-        assert result.mlp.label == "MLP"
-        assert result.gnn.label == "GNN"
-        assert len(result.mlp.timesteps) == 2  # 64 steps / 32 per update
-        assert len(result.gnn.mean_episode_rewards) == 2
-        text = format_fig7(result)
-        assert "Figure 7" in text
+        result = api.run(fig7_spec(scale=self.TINY, seed=0))
+        [mlp], [gnn] = result.curves["mlp"], result.curves["gnn"]
+        assert len(mlp.timesteps) == 2  # 64 steps / 32 per update
+        assert len(gnn.mean_episode_rewards) == 2
+        text = format_scenario(result)
+        assert "Fig. 7" in text and "learning curves" in text
 
     def test_fig8_runs_and_reports(self):
-        from repro.experiments import fig8
-        from repro.experiments.reporting import format_fig8
-
-        result = fig8.run(self.TINY, seed=0)
-        rows = result.rows()
-        assert len(rows) == 6
-        settings = {setting for setting, _, _ in rows}
-        assert settings == {"Graph Modifications", "Different Graphs"}
-        text = format_fig8(result)
-        assert "Figure 8" in text
+        for builder in (fig8_modifications_spec, fig8_different_spec):
+            result = api.run(builder(scale=self.TINY, seed=0))
+            rows = result.rows()
+            assert [label for label, _ in rows] == ["gnn", "gnn_iterative", "shortest_path"]
+            assert all(mean >= 1.0 - 1e-6 for _, mean in rows)
+            assert "Fig. 8" in format_scenario(result)
 
     def test_throughput_runs(self):
-        from repro.experiments import throughput
-        from repro.experiments.reporting import format_throughput
-
-        result = throughput.run(self.TINY, seed=0)
-        assert result.mlp_fps > 0
-        assert result.gnn_fps > 0
-        assert "fps" in format_throughput(result)
+        result = api.run(throughput_spec(scale=self.TINY, seed=0))
+        assert result.throughput["mlp"] > 0
+        assert result.throughput["gnn"] > 0
+        assert "fps" in format_scenario(result)
 
     def test_cli_parser(self):
         from repro.experiments.runner import build_parser
 
-        args = build_parser().parse_args(["fig6", "--preset", "quick", "--timesteps", "128"])
-        assert args.command == "fig6"
+        args = build_parser().parse_args(
+            ["run", "fig6", "--preset", "quick", "--timesteps", "128"]
+        )
+        assert args.command == "run"
+        assert args.scenario == "fig6"
         assert args.timesteps == 128

@@ -47,7 +47,6 @@ from repro.faults import (
 )
 from repro.flows.lp import (
     DIRECT_SOLVER_BREAKER,
-    LPOptimumStore,
     OptimalUtilisationCache,
     direct_solver_available,
     solve_optimal_max_utilisation,

@@ -2,19 +2,16 @@
 
 import pytest
 
-from repro.experiments.evaluate import EvaluationResult
-from repro.experiments.fig6 import Fig6Result
-from repro.experiments.fig7 import Fig7Result, LearningCurve
-from repro.experiments.fig8 import Fig8Result, GeneralisationSetting
-from repro.experiments.reporting import (
-    _bar,
-    format_fig6,
-    format_fig7,
-    format_fig8,
-    format_throughput,
+from repro.api.presets import (
+    fig6_spec,
+    fig7_spec,
+    fig8_different_spec,
+    fig8_modifications_spec,
+    throughput_spec,
 )
+from repro.api.results import EvaluationResult, LearningCurve, ScenarioResult
+from repro.experiments.reporting import _bar, format_scenario
 from repro.experiments.runner import build_parser, main
-from repro.experiments.throughput import ThroughputResult
 
 
 def eval_result(mean):
@@ -35,49 +32,49 @@ class TestFormatting:
         assert _bar(float("inf")) == ""
 
     def test_format_fig6_contains_all_rows(self):
-        result = Fig6Result(
-            mlp=eval_result(1.18),
-            gnn=eval_result(1.11),
-            gnn_iterative=eval_result(1.14),
-            shortest_path=eval_result(1.30),
+        result = ScenarioResult(
+            spec=fig6_spec(),
+            policies={
+                "mlp": eval_result(1.18),
+                "gnn": eval_result(1.11),
+                "gnn_iterative": eval_result(1.14),
+            },
+            strategies={"shortest_path": eval_result(1.30)},
         )
-        text = format_fig6(result)
-        for token in ("MLP", "GNN", "GNN Iterative", "Shortest path", "1.180", "1.300"):
+        text = format_scenario(result)
+        for token in ("mlp", "gnn", "gnn_iterative", "shortest_path", "1.180", "1.300"):
             assert token in text
 
-    def test_format_fig7_downsamples(self):
-        curve = LearningCurve("MLP", tuple(range(0, 1000, 10)), tuple([-100.0] * 100))
-        result = Fig7Result(mlp=curve, gnn=LearningCurve("GNN", (1,), (-5.0,)))
-        text = format_fig7(result, points=5)
-        assert text.count("t=") < 100  # downsampled
-        assert "GNN" in text
-
     def test_format_fig7_empty_curve(self):
-        result = Fig7Result(
-            mlp=LearningCurve("MLP", (), ()), gnn=LearningCurve("GNN", (), ())
+        result = ScenarioResult(
+            spec=fig7_spec(),
+            curves={
+                "mlp": [LearningCurve("mlp", (), ())],
+                "gnn": [LearningCurve("gnn", (1,), (-5.0,))],
+            },
         )
-        assert "no updates" in format_fig7(result)
+        text = format_scenario(result)
+        assert "no completed episode" in text
+        assert "-5.00" in text
 
     def test_format_fig8(self):
-        setting = GeneralisationSetting(
-            label="Graph Modifications",
-            gnn=eval_result(1.2),
-            gnn_iterative=eval_result(1.15),
-            shortest_path=eval_result(1.5),
-        )
-        other = GeneralisationSetting(
-            label="Different Graphs",
-            gnn=eval_result(2.0),
-            gnn_iterative=eval_result(1.8),
-            shortest_path=eval_result(1.6),
-        )
-        text = format_fig8(Fig8Result(modifications=setting, different_graphs=other))
-        assert "Graph Modifications" in text and "Different Graphs" in text
+        texts = [
+            format_scenario(
+                ScenarioResult(
+                    spec=builder(),
+                    policies={"gnn": eval_result(1.2), "gnn_iterative": eval_result(1.15)},
+                    strategies={"shortest_path": eval_result(1.5)},
+                )
+            )
+            for builder in (fig8_modifications_spec, fig8_different_spec)
+        ]
+        assert "modified Abilene" in texts[0] and "different random graphs" in texts[1]
 
     def test_format_throughput(self):
-        text = format_throughput(ThroughputResult(mlp_fps=70.0, gnn_fps=70.0))
+        result = ScenarioResult(spec=throughput_spec(), throughput={"mlp": 70.0, "gnn": 70.0})
+        text = format_scenario(result)
         assert "70.0 fps" in text
-        assert "1.00x" in text
+        assert "mlp" in text and "gnn" in text
 
     def test_learning_curve_final_reward(self):
         curve = LearningCurve("GNN", (1, 2), (-9.0, -5.0))
@@ -85,13 +82,6 @@ class TestFormatting:
 
 
 class TestRunnerCLI:
-    def test_legacy_parser_defaults(self):
-        args = build_parser().parse_args(["fig7"])
-        assert args.command == "fig7"
-        assert args.preset == "quick"
-        assert args.seed is None  # falls back to 0 inside the legacy path
-        assert args.timesteps is None
-
     def test_run_parser_defaults(self):
         args = build_parser().parse_args(["run", "fig6"])
         assert args.command == "run"
@@ -105,10 +95,10 @@ class TestRunnerCLI:
 
     def test_parser_rejects_unknown_preset(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["fig6", "--preset", "huge"])
+            build_parser().parse_args(["run", "fig6", "--preset", "huge"])
 
     def test_main_runs_throughput_quick(self, capsys):
-        code = main(["throughput", "--preset", "quick", "--timesteps", "64"])
+        code = main(["run", "throughput", "--preset", "quick", "--timesteps", "64"])
         assert code == 0
         out = capsys.readouterr().out
         assert "fps" in out
@@ -116,7 +106,7 @@ class TestRunnerCLI:
     def test_main_list_scenarios(self, capsys):
         assert main(["list", "scenarios"]) == 0
         out = capsys.readouterr().out
-        assert "fig6" in out and "link-failure-sweep" in out
+        assert "fig6" in out and "link-failure-flap" in out
 
     def test_main_list_all_axes(self, capsys):
         assert main(["list"]) == 0
