@@ -422,6 +422,45 @@ def test_dynamics_static_preset_evaluation(benchmark):
 
 
 # ---------------------------------------------------------------------------
+# Classical routing tables and edge removal on the 197-node Cogent-scale graph.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.benchmark(group="routing")
+def test_routing_tables_large_topology(benchmark):
+    """Shortest-path plus ECMP tables on cogent-like, unit weights.
+
+    Each table is one multi-source Dijkstra plus one (targets x edges) tie
+    mask; the frozen ``per_destination_routing_tables`` floor pins the
+    per-destination Python loops this replaced.
+    """
+    from repro.graphs.zoo import topology
+    from repro.routing.shortest_path import ecmp_routing, shortest_path_routing
+
+    net = topology("cogent-like")
+    sp, ecmp = benchmark(lambda: (shortest_path_routing(net), ecmp_routing(net)))
+    pairs = net.num_nodes * (net.num_nodes - 1)
+    assert np.count_nonzero(sp.destination_table()) == pairs
+    assert np.count_nonzero(ecmp.destination_table()) >= pairs
+
+
+@pytest.mark.benchmark(group="routing")
+def test_edge_removal_large_topology(benchmark):
+    """Two chained connectivity-preserving link removals on cogent-like."""
+    from repro.graphs.modifications import remove_random_edge
+    from repro.graphs.zoo import topology
+
+    net = topology("cogent-like")
+
+    def two_draws():
+        rng = np.random.default_rng(0)
+        return remove_random_edge(remove_random_edge(net, rng), rng)
+
+    variant = benchmark(two_draws)
+    assert variant.num_edges == net.num_edges - 4
+
+
+# ---------------------------------------------------------------------------
 # Routing service: warm-cache request latency, with and without HTTP.
 # ---------------------------------------------------------------------------
 

@@ -31,11 +31,11 @@ def _rebuild(num_nodes: int, links: set[tuple[int, int]], network: Network, suff
     )
 
 
-def _is_connected(num_nodes: int, links: set[tuple[int, int]]) -> bool:
+def _graph(num_nodes: int, links: set[tuple[int, int]]) -> nx.Graph:
     graph = nx.Graph()
     graph.add_nodes_from(range(num_nodes))
     graph.add_edges_from(links)
-    return nx.is_connected(graph)
+    return graph
 
 
 def add_random_edge(network: Network, rng: np.random.Generator) -> Optional[Network]:
@@ -56,7 +56,12 @@ def add_random_edge(network: Network, rng: np.random.Generator) -> Optional[Netw
 def remove_random_edge(network: Network, rng: np.random.Generator) -> Optional[Network]:
     """Remove one link whose deletion keeps the graph connected."""
     links = _undirected_links(network)
-    candidates = [link for link in links if _is_connected(network.num_nodes, links - {link})]
+    graph = _graph(network.num_nodes, links)
+    if not nx.is_connected(graph):
+        return None
+    # A link can go unless it is a bridge: one pass finds them all.
+    bridges = {tuple(sorted(bridge)) for bridge in nx.bridges(graph)}
+    candidates = [link for link in links if link not in bridges]
     if not candidates:
         return None
     links.discard(candidates[int(rng.integers(0, len(candidates)))])
@@ -87,14 +92,16 @@ def remove_random_node(network: Network, rng: np.random.Generator) -> Optional[N
     if network.num_nodes <= 3:
         return None
     links = _undirected_links(network)
-    candidates = []
-    for victim in range(network.num_nodes):
-        remaining = {link for link in links if victim not in link}
-        graph = nx.Graph()
-        graph.add_nodes_from(n for n in range(network.num_nodes) if n != victim)
-        graph.add_edges_from(remaining)
-        if graph.number_of_nodes() >= 2 and nx.is_connected(graph):
-            candidates.append(victim)
+    graph = _graph(network.num_nodes, links)
+    if nx.is_connected(graph):
+        # A node can go unless it is a cut vertex: one pass finds them all.
+        cut = set(nx.articulation_points(graph))
+        candidates = [v for v in range(network.num_nodes) if v not in cut]
+    elif nx.number_connected_components(graph) == 2:
+        # Only an isolated node beside one connected remainder can go.
+        candidates = [v for v in range(network.num_nodes) if graph.degree(v) == 0]
+    else:
+        candidates = []
     if not candidates:
         return None
     victim = candidates[int(rng.integers(0, len(candidates)))]

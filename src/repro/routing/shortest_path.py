@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.engine.softmin_batch import _edge_segments, batch_distances_to_targets
 from repro.graphs.network import Network
 from repro.routing.strategy import DestinationRouting
 
@@ -38,34 +39,48 @@ def _resolve_weights(network: Network, weights: Optional[np.ndarray]) -> np.ndar
     return weights
 
 
-def _next_hop_edges(
-    network: Network, distances: np.ndarray, weights: np.ndarray, v: int
-) -> list[int]:
-    """Edge ids out of ``v`` lying on some shortest path to the target."""
-    hops = []
-    for edge_id in network.out_edges[v]:
-        u = network.edges[edge_id][1]
-        if np.isfinite(distances[u]) and abs(
-            weights[edge_id] + distances[u] - distances[v]
-        ) <= _TIE_TOLERANCE * max(1.0, distances[v]):
-            hops.append(edge_id)
-    return hops
+def _tied_next_hops(
+    network: Network, weights: Optional[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every out-edge on some shortest path, for all destinations at once.
+
+    One multi-source Dijkstra gives ``D[t, v] = dist(v, t)``; edge
+    ``(v, u)`` is a next hop toward ``t`` when ``v != t``, both ends reach
+    ``t`` and ``w + D[t, u]`` ties ``D[t, v]`` within the tolerance.
+    Returns ``(targets, edge_ids, first)``: the hops as parallel arrays,
+    grouped per (destination, vertex) in ascending edge id, with ``first``
+    marking the first hop of each group.
+    """
+    weights = _resolve_weights(network, weights)
+    distances = batch_distances_to_targets(network, weights)
+    # |w + D[t, u] - D[t, v]| <= tol * max(1, D[t, v]), evaluated in place
+    # to keep the (targets, edges) temporaries few.
+    tail = distances[:, network.senders]
+    slack = distances[:, network.receivers] + weights
+    tied = np.isfinite(tail) & np.isfinite(slack)
+    with np.errstate(invalid="ignore"):
+        slack -= tail
+    np.abs(slack, out=slack)
+    np.maximum(tail, 1.0, out=tail)
+    tail *= _TIE_TOLERANCE
+    tied &= slack <= tail
+    tied[network.senders, np.arange(network.num_edges)] = False  # v == t
+
+    # Edges grouped by tail vertex, stable, so ascending edge id per vertex.
+    order, starts, seg_of_pos = _edge_segments(network)
+    targets, positions = np.nonzero(tied[:, order])
+    groups = targets * len(starts) + seg_of_pos[positions]
+    first = np.diff(groups, prepend=-1) != 0
+    return targets, order[positions], first
 
 
 def shortest_path_routing(
     network: Network, weights: Optional[np.ndarray] = None
 ) -> DestinationRouting:
     """Single-path shortest-path routing (lowest edge id breaks ties)."""
-    weights = _resolve_weights(network, weights)
+    targets, edge_ids, first = _tied_next_hops(network, weights)
     table = np.zeros((network.num_nodes, network.num_edges))
-    for t in range(network.num_nodes):
-        distances = network.shortest_path_distances(weights, target=t)
-        for v in range(network.num_nodes):
-            if v == t or not np.isfinite(distances[v]):
-                continue
-            hops = _next_hop_edges(network, distances, weights, v)
-            if hops:
-                table[t, hops[0]] = 1.0
+    table[targets[first], edge_ids[first]] = 1.0
     return DestinationRouting(network, table)
 
 
@@ -73,16 +88,10 @@ def ecmp_routing(
     network: Network, weights: Optional[np.ndarray] = None
 ) -> DestinationRouting:
     """Equal-cost multi-path: even split over all shortest next hops."""
-    weights = _resolve_weights(network, weights)
+    targets, edge_ids, first = _tied_next_hops(network, weights)
+    sizes = np.diff(np.flatnonzero(first), append=len(first))
     table = np.zeros((network.num_nodes, network.num_edges))
-    for t in range(network.num_nodes):
-        distances = network.shortest_path_distances(weights, target=t)
-        for v in range(network.num_nodes):
-            if v == t or not np.isfinite(distances[v]):
-                continue
-            hops = _next_hop_edges(network, distances, weights, v)
-            for edge_id in hops:
-                table[t, edge_id] = 1.0 / len(hops)
+    table[targets, edge_ids] = 1.0 / np.repeat(sizes, sizes)
     return DestinationRouting(network, table)
 
 

@@ -226,6 +226,21 @@ class TestFrozenFloors:
             for entry in frozen.values()
         ), "the committed baseline must pin the pre-vectorisation training floor"
 
+    def test_committed_baseline_pins_the_routing_tables_floor(self):
+        stored = json.loads(
+            (Path(_SCRIPT).parent / "BENCH_baseline.json").read_text()
+        )
+        # The batched SP/ECMP tables measured 26-40x over the per-destination
+        # loops; the floor keeps them at least 10x, and both new routing
+        # benches are gated like every other baseline key.
+        assert any(
+            entry.get("benchmark") == "test_routing_tables_large_topology"
+            and float(entry.get("min_speedup", 0.0)) >= 10.0
+            for entry in stored.get("frozen", {}).values()
+        ), "the committed baseline must pin the per-destination routing-tables floor"
+        assert "test_routing_tables_large_topology" in stored["benchmarks"]
+        assert "test_edge_removal_large_topology" in stored["benchmarks"]
+
 
 class TestSummaryOutput:
     def test_markdown_written_to_github_step_summary(self, tmp_path, monkeypatch, capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graphs import Network, abilene, random_modification
+from repro.graphs import TOPOLOGY_NAMES, Network, abilene, random_modification, topology
 from repro.graphs.modifications import (
     MODIFICATION_KINDS,
     add_random_edge,
@@ -11,6 +11,7 @@ from repro.graphs.modifications import (
     remove_random_edge,
     remove_random_node,
 )
+from tests import oracles
 from tests.helpers import line_network, triangle_network
 
 
@@ -56,6 +57,57 @@ class TestIndividualOperators:
 
     def test_remove_node_refuses_tiny_graph(self):
         assert remove_random_node(triangle_network(), np.random.default_rng(0)) is None
+
+
+def assert_same_network(actual, expected):
+    if expected is None:
+        assert actual is None
+        return
+    assert actual == expected
+    assert actual.name == expected.name
+
+
+#: Two or three components with no isolated node (nothing is removable),
+#: and a 4-cycle beside an isolated node (the one removable node).
+DISCONNECTED = {
+    "two-pairs": Network.from_undirected(4, [(0, 1), (2, 3)]),
+    "three-components": Network.from_undirected(6, [(0, 1), (2, 3), (4, 5)]),
+    "isolated-node": Network.from_undirected(5, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+}
+
+
+class TestMatchesOracle:
+    """The bridge and cut-vertex passes draw exactly what the loops drew."""
+
+    @pytest.mark.parametrize("name", TOPOLOGY_NAMES)
+    def test_remove_edge_chained_draws(self, name):
+        for seed in range(3):
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            net = expected = topology(name)
+            for _ in range(2):
+                net = remove_random_edge(net, rng)
+                expected = oracles.remove_random_edge(expected, oracle_rng)
+                assert_same_network(net, expected)
+
+    @pytest.mark.parametrize("name", TOPOLOGY_NAMES)
+    def test_remove_node(self, name):
+        for seed in range(2):
+            assert_same_network(
+                remove_random_node(topology(name), np.random.default_rng(seed)),
+                oracles.remove_random_node(topology(name), np.random.default_rng(seed)),
+            )
+
+    @pytest.mark.parametrize("label", sorted(DISCONNECTED))
+    def test_disconnected_inputs(self, label):
+        net = DISCONNECTED[label]
+        for operator, oracle in (
+            (remove_random_edge, oracles.remove_random_edge),
+            (remove_random_node, oracles.remove_random_node),
+        ):
+            assert_same_network(
+                operator(net, np.random.default_rng(0)), oracle(net, np.random.default_rng(0))
+            )
+        assert remove_random_edge(net, np.random.default_rng(0)) is None
 
 
 class TestRandomModification:

@@ -6,6 +6,9 @@ graphs, weights and demands:
 * softmin is always a probability distribution favouring small inputs;
 * softmin routing always yields a valid, loop-free, delivering routing;
 * DAG pruning is always acyclic and preserves reachability;
+* shortest-path and ECMP tables route along shortest paths, loop-free,
+  and do not depend on how nodes are labelled;
+* removing a random edge never disconnects the graph;
 * the LP optimum lower-bounds every concrete routing's utilisation;
 * flow is conserved end-to-end through the simulator;
 * autodiff segment ops agree with their numpy definitions.
@@ -18,12 +21,15 @@ from hypothesis import given, settings, strategies as st
 from repro.flows.lp import solve_optimal_max_utilisation
 from repro.flows.simulator import link_loads, max_link_utilisation
 from repro.graphs.generators import random_connected_network
+from repro.graphs.modifications import remove_random_edge
+from repro.graphs.network import Network
 from repro.routing.dag import prune_by_distance, prune_graph_frontier
 from repro.routing.shortest_path import ecmp_routing, shortest_path_routing
 from repro.routing.softmin import softmin, softmin_routing
 from repro.routing.strategy import validate_routing
 from repro.tensor import Tensor, segment_mean, segment_sum
 from repro.traffic import bimodal_matrix
+from tests import oracles
 
 # Keep deadlines generous: LP solves inside properties are slow-ish.
 PROPERTY_SETTINGS = dict(max_examples=20, deadline=None)
@@ -48,6 +54,21 @@ def graph_and_weights(draw):
         )
     )
     return net, np.asarray(weights)
+
+
+@st.composite
+def graph_and_integer_weights(draw):
+    """A connected graph (possibly a tree) with weights in {1, 2, 3}.
+
+    Integer weights make path lengths exact, so equal-cost paths tie
+    exactly and ECMP has real choices to split over.
+    """
+    seed = draw(st.integers(0, 10_000))
+    num_nodes = draw(st.integers(3, 9))
+    extra = draw(st.integers(0, 8))
+    net = network_for(seed, num_nodes, extra)
+    weights = draw(st.lists(st.integers(1, 3), min_size=net.num_edges, max_size=net.num_edges))
+    return net, np.asarray(weights, dtype=np.float64)
 
 
 class TestSoftminProperties:
@@ -147,6 +168,101 @@ class TestRoutingProperties:
             received = dm[:, v].sum()
             sent = dm[v, :].sum()
             assert inflow - outflow == pytest.approx(received - sent, abs=1e-6)
+
+
+class TestShortestPathTableProperties:
+    @given(data=graph_and_integer_weights())
+    @settings(**PROPERTY_SETTINGS)
+    def test_rows_sum_to_one_on_shortest_paths(self, data):
+        net, weights = data
+        distances = net.shortest_path_distances(weights)  # [v, t]
+        for routing in (shortest_path_routing, ecmp_routing):
+            table = routing(net, weights).destination_table()
+            for t in range(net.num_nodes):
+                for v in range(net.num_nodes):
+                    out = np.asarray(net.out_edges[v])
+                    if v == t or not np.isfinite(distances[v, t]):
+                        assert np.all(table[t, out] == 0.0)
+                        continue
+                    assert table[t, out].sum() == pytest.approx(1.0)
+                    for edge_id in out[table[t, out] > 0.0]:
+                        u = net.edges[edge_id][1]
+                        assert distances[v, t] == weights[edge_id] + distances[u, t]
+
+    @given(data=graph_and_integer_weights())
+    @settings(**PROPERTY_SETTINGS)
+    def test_shortest_path_takes_lowest_tied_edge(self, data):
+        net, weights = data
+        distances = net.shortest_path_distances(weights)
+        table = shortest_path_routing(net, weights).destination_table()
+        for t in range(net.num_nodes):
+            for v in range(net.num_nodes):
+                if v == t:
+                    continue
+                tied = [
+                    e
+                    for e in net.out_edges[v]
+                    if distances[v, t] == weights[e] + distances[net.edges[e][1], t]
+                ]
+                chosen = [e for e in net.out_edges[v] if table[t, e] > 0.0]
+                assert chosen == [min(tied)]
+                assert table[t, chosen[0]] == 1.0
+
+    @given(data=graph_and_integer_weights())
+    @settings(**PROPERTY_SETTINGS)
+    def test_shortest_path_hops_reach_target_without_loops(self, data):
+        net, weights = data
+        table = shortest_path_routing(net, weights).destination_table()
+        for t in range(net.num_nodes):
+            for start in range(net.num_nodes):
+                v, steps = start, 0
+                while v != t:
+                    (edge_id,) = [e for e in net.out_edges[v] if table[t, e] == 1.0]
+                    v = net.edges[edge_id][1]
+                    steps += 1
+                    assert steps <= net.num_nodes - 1
+
+    @given(data=graph_and_integer_weights(), seed=st.integers(0, 1000))
+    @settings(**PROPERTY_SETTINGS)
+    def test_ecmp_follows_node_relabelling_and_edge_order(self, data, seed):
+        net, weights = data
+        rng = np.random.default_rng(seed)
+        relabel = rng.permutation(net.num_nodes)
+        shuffle = rng.permutation(net.num_edges)
+        moved = Network(
+            net.num_nodes, [(relabel[u], relabel[v]) for u, v in (net.edges[e] for e in shuffle)]
+        )
+        table = ecmp_routing(net, weights).destination_table()
+        moved_table = ecmp_routing(moved, weights[shuffle]).destination_table()
+        # Moved edge i is original edge shuffle[i]; moved node relabel[t] is t.
+        np.testing.assert_array_equal(moved_table[relabel][:, np.argsort(shuffle)], table)
+
+    @given(data=graph_and_integer_weights())
+    @settings(**PROPERTY_SETTINGS)
+    def test_tables_match_the_per_destination_loops(self, data):
+        net, weights = data
+        for batched, loop in (
+            (shortest_path_routing, oracles.shortest_path_routing),
+            (ecmp_routing, oracles.ecmp_routing),
+        ):
+            expected = loop(net, weights).destination_table()
+            assert batched(net, weights).destination_table().tobytes() == expected.tobytes()
+
+
+class TestEdgeRemovalProperties:
+    @given(data=graph_and_integer_weights(), seed=st.integers(0, 1000))
+    @settings(**PROPERTY_SETTINGS)
+    def test_remove_random_edge_keeps_graph_connected(self, data, seed):
+        net, _ = data
+        links = {tuple(sorted(edge)) for edge in net.edges}
+        out = remove_random_edge(net, np.random.default_rng(seed))
+        if out is None:  # only a tree has no removable link
+            assert len(links) == net.num_nodes - 1
+            return
+        assert out.num_nodes == net.num_nodes
+        assert out.is_strongly_connected()
+        remaining = {tuple(sorted(edge)) for edge in out.edges}
+        assert remaining < links and len(remaining) == len(links) - 1
 
 
 class TestSegmentOpProperties:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.flows.lp import solve_optimal_max_utilisation
 from repro.flows.simulator import link_loads, max_link_utilisation, utilisation_ratio
-from repro.graphs import abilene
+from repro.graphs import TOPOLOGY_NAMES, Network, abilene, topology
 from repro.routing.oblivious import cancel_flow_cycles, lp_derived_routing, oblivious_routing
 from repro.routing.shortest_path import (
     ecmp_routing,
@@ -14,6 +14,7 @@ from repro.routing.shortest_path import (
 )
 from repro.routing.strategy import validate_routing
 from repro.traffic import bimodal_matrix
+from tests import oracles
 from tests.helpers import line_network, square_network, triangle_network
 
 
@@ -87,6 +88,55 @@ class TestECMP:
         weights = inverse_capacity_weights(net)
         assert weights[0] == pytest.approx(2.0)
         assert weights[1] == pytest.approx(1.0)
+
+
+def _weightings(net):
+    """Unit, random real and small-integer weights (the last forces ties)."""
+    rng = np.random.default_rng(net.num_edges)
+    return {
+        "unit": None,
+        "uniform": rng.uniform(0.1, 5.0, net.num_edges),
+        "integer": rng.integers(1, 4, net.num_edges).astype(np.float64),
+    }
+
+
+class TestBatchedTablesMatchOracle:
+    """The batched tables equal the per-destination loops byte for byte."""
+
+    @pytest.mark.parametrize("name", TOPOLOGY_NAMES)
+    def test_every_zoo_member_every_weighting(self, name):
+        net = topology(name)
+        for label, weights in _weightings(net).items():
+            for batched, loop in (
+                (shortest_path_routing, oracles.shortest_path_routing),
+                (ecmp_routing, oracles.ecmp_routing),
+            ):
+                expected = loop(net, weights).destination_table()
+                table = batched(net, weights).destination_table()
+                assert table.tobytes() == expected.tobytes(), (name, label, batched.__name__)
+
+    def test_unreachable_pairs_and_one_way_edges(self):
+        # Nothing reaches node 3, and the cycle 0 -> 1 -> 2 runs one way.
+        net = Network(4, [(0, 1), (1, 2), (2, 0), (3, 0), (3, 2)])
+        for weights in (None, np.array([1.0, 1.0, 1.0, 2.0, 1.0])):
+            for batched, loop in (
+                (shortest_path_routing, oracles.shortest_path_routing),
+                (ecmp_routing, oracles.ecmp_routing),
+            ):
+                expected = loop(net, weights).destination_table()
+                assert batched(net, weights).destination_table().tobytes() == expected.tobytes()
+
+    def test_weights_below_the_tie_tolerance(self):
+        # Every path ties within the tolerance, even edges out of the
+        # destination itself; those must still carry nothing.
+        net = abilene()
+        weights = np.full(net.num_edges, 1e-12)
+        for batched, loop in (
+            (shortest_path_routing, oracles.shortest_path_routing),
+            (ecmp_routing, oracles.ecmp_routing),
+        ):
+            expected = loop(net, weights).destination_table()
+            assert batched(net, weights).destination_table().tobytes() == expected.tobytes()
 
 
 class TestObliviousRouting:

@@ -1,17 +1,20 @@
-"""Source hygiene: the CI lint gate's import checks, runnable without ruff.
+"""Source hygiene: the CI lint gate's name checks, runnable without ruff.
 
-Two properties over every Python file in ``src``, ``tests``,
+Three properties over every Python file in ``src``, ``tests``,
 ``benchmarks`` and ``examples``, checked with ``ast`` and ``importlib``
 only:
 
 * no unused imports (ruff/pyflakes F401) outside ``__init__.py``, which
   the ruff configuration exempts, honouring ``# noqa`` comments;
+* no undefined names (F821): every name a file loads is bound somewhere in
+  that file or is a builtin, honouring ``# noqa`` comments;
 * every absolute ``repro.*`` import (the codebase uses no relative ones)
   names a module that exists and a name that module provides — including
   imports deferred into function bodies and scripts that no test runs.
 """
 
 import ast
+import builtins
 import importlib.util
 import re
 from pathlib import Path
@@ -115,6 +118,81 @@ def unused_imports(source: str, label: str) -> list:
     return [finding for _, finding in sorted(findings)]
 
 
+#: Names every module has without binding them.
+MODULE_NAMES = frozenset(dir(builtins)) | {
+    "__annotations__",
+    "__builtins__",
+    "__cached__",
+    "__file__",
+    "__path__",
+}
+
+
+def bound_names(tree: ast.Module) -> set:
+    """Every name bound anywhere in a module, in any scope.
+
+    Imports, ``def``/``class`` names, arguments, assignment, ``for``,
+    ``with``, comprehension and walrus targets (all ``Store`` contexts),
+    ``except ... as`` names, ``global``/``nonlocal`` declarations and
+    ``match`` captures.
+    """
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(bound_name(alias) for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            names.update(node.names)
+        elif isinstance(node, (ast.ExceptHandler, ast.MatchAs, ast.MatchStar)) and node.name:
+            names.add(node.name)
+        elif isinstance(node, ast.MatchMapping) and node.rest:
+            names.add(node.rest)
+    return names
+
+
+def loaded_names(tree: ast.Module):
+    """``(line, name)`` for every name loaded, string annotations included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.lineno, node.id
+        annotation = None
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotation = node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = node.returns
+        if annotation is not None:
+            for name in annotation_names(annotation):
+                yield annotation.lineno, name
+
+
+def undefined_names(source: str, label: str) -> list:
+    """``label:line: undefined name 'name'`` for each name bound nowhere.
+
+    Scope-blind on purpose: a name bound anywhere in the module counts as
+    bound everywhere, so this can miss a name used outside its scope but
+    never flags a correct file.  A ``from x import *`` disables the check.
+    """
+    tree = ast.parse(source)
+    if any(
+        isinstance(node, ast.ImportFrom) and any(alias.name == "*" for alias in node.names)
+        for node in ast.walk(tree)
+    ):
+        return []
+    lines = source.splitlines()
+    known = bound_names(tree) | MODULE_NAMES
+    findings = {
+        (line, f"{label}:{line}: undefined name {name!r}")
+        for line, name in loaded_names(tree)
+        if name not in known and not suppressed(lines[line - 1], "F821")
+    }
+    return [finding for _, finding in sorted(findings)]
+
+
 def module_exists(name: str) -> bool:
     try:
         return importlib.util.find_spec(name) is not None
@@ -169,6 +247,17 @@ def test_no_unused_imports():
     assert findings == [], "\n".join(findings)
 
 
+def test_no_undefined_names():
+    findings = [
+        finding
+        for path in python_files()
+        for finding in undefined_names(
+            path.read_text(encoding="utf-8"), str(path.relative_to(REPO))
+        )
+    ]
+    assert findings == [], "\n".join(findings)
+
+
 def test_repro_imports_resolve():
     findings = [finding for path in python_files() for finding in dangling_repro_imports(path)]
     assert findings == [], "\n".join(findings)
@@ -203,4 +292,31 @@ def test_dangling_import_checker_flags_missing_modules_and_names(tmp_path):
     assert [f.split(": ", 1)[1] for f in dangling_repro_imports(sample, tmp_path)] == [
         "'repro.api' has no name 'no_such_name'",
         "no module 'repro.no_such_module'",
+    ]
+
+
+def test_undefined_name_checker_flags_and_honours_noqa():
+    source = (
+        "import os.path\n"
+        "from typing import Optional as Maybe\n"
+        "GLOBAL = [item for item in range(3)]\n"
+        "def f(arg, *rest, key=None, **extra) -> 'Maybe[Widget]':\n"
+        "    global LATER\n"
+        "    LATER = len(rest)\n"
+        "    with open(__file__) as handle:\n"
+        "        pass\n"
+        "    try:\n"
+        "        (walrus := arg)\n"
+        "    except ValueError as error:\n"
+        "        print(error, handle, walrus, os.path, extra, key)\n"
+        "    for index, value in enumerate(GLOBAL):\n"
+        "        missing_name(index, value)\n"
+        "    return also_missing  # noqa: F821 - defined at run time\n"
+        "class Widget:\n"
+        "    pass\n"
+    )
+    assert undefined_names(source, "sample.py") == ["sample.py:14: undefined name 'missing_name'"]
+    assert undefined_names(source + "from os import *\n", "sample.py") == []
+    assert undefined_names("def g() -> 'Gadget':\n    pass\n", "s.py") == [
+        "s.py:1: undefined name 'Gadget'"
     ]
