@@ -76,8 +76,8 @@ class RewardComputer:
     lp_cache:
         Optional private :class:`LinearProgramCache` handed to a
         newly-created optimum cache, so one experiment's constraint
-        structures (and their persistent solver models) can be isolated
-        from the process-shared pool.  Ignored when ``cache`` is given.
+        structures can be isolated from the process-shared pool.
+        Ignored when ``cache`` is given.
     """
 
     def __init__(

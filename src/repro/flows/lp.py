@@ -31,7 +31,9 @@ equality right-hand side changes.  The fast path exploits that three ways:
 * **constraint-structure cache** — assembled structures live in a keyed LRU
   :class:`LinearProgramCache` (mirroring the engine's
   ``FactorisationCache``), so repeated solves over the same support are
-  RHS-only re-solves against a persistent solver model;
+  RHS-only re-solves of an already-assembled LP.  A structure holds only
+  that LP; the HiGHS solver it is loaded into is one per thread, created
+  on first use, since loading a model resets the solver's state anyway;
 * **warm-started solves** — when scipy's vendored HiGHS bindings are
   available, every solve is primed with a primal-feasible shortest-path
   routing via ``setSolution`` (HiGHS crossovers it to a basis), cutting the
@@ -101,10 +103,24 @@ def direct_solver_available() -> bool:
     return _highs is not None
 
 
+# Each thread's HiGHS solver, shared by every structure that thread solves.
+_SOLVERS = threading.local()
+
+
+def _thread_solver():
+    """This thread's HiGHS solver, created on first use."""
+    solver = getattr(_SOLVERS, "highs", None)
+    if solver is None:
+        solver = _highs._Highs()
+        solver.setOptionValue("output_flag", False)
+        _SOLVERS.highs = solver
+    return solver
+
+
 #: Circuit breaker guarding the direct-HiGHS solve path.  After
 #: ``failure_threshold`` consecutive *unexpected* failures (not LP
 #: infeasibility, which is a legitimate typed outcome) solves trip to the
-#: ``linprog`` fallback — same optimum to 1e-8, no persistent model — and a
+#: ``linprog`` fallback — same optimum to 1e-8 — and a
 #: single probe is retried after the cooldown (half-open).
 DIRECT_SOLVER_BREAKER = CircuitBreaker("lp.direct", failure_threshold=3, cooldown_s=30.0)
 
@@ -250,8 +266,9 @@ class LinearProgramStructure:
     For a fixed support only the equality right-hand side depends on the
     demand matrix, so one structure serves every demand matrix with the
     same active destinations: :meth:`solve` computes ``b_eq`` and re-solves
-    against the cached matrices (and, on the direct-HiGHS path, against a
-    persistent solver model primed with a shortest-path warm start).
+    against the cached matrices (on the direct-HiGHS path, the assembled
+    ``HighsLp`` is loaded into the calling thread's solver and primed with
+    a shortest-path warm start).
 
     Assembly is fully vectorized: the block-diagonal replication of the
     node-edge incidence matrix is expressed as COO index arrays built with
@@ -312,8 +329,8 @@ class LinearProgramStructure:
         self._rhs_mask = np.ones((k, n), dtype=bool)
         self._rhs_mask[np.arange(k), self.destinations] = False
 
-        self._model = None  # persistent HiGHS model (direct path only)
-        self._model_lp = None
+        self._lp = None  # assembled HighsLp (direct path only)
+        self._lp_lock = threading.Lock()  # guards its row bounds while loading
         self._warm = None  # lazily-built shortest-path warm-start data
         self.solves = 0
 
@@ -420,10 +437,9 @@ class LinearProgramStructure:
             raise
         except Exception as exc:
             DIRECT_SOLVER_BREAKER.record_failure()
-            # A wedged persistent model would poison every later re-solve;
-            # drop it so the next direct attempt rebuilds from scratch.
-            self._model = None
-            self._model_lp = None
+            # A wedged solver would poison this thread's later re-solves;
+            # drop it so the next direct attempt starts from a new one.
+            _SOLVERS.highs = None
             warnings.warn(
                 f"direct LP solve failed ({exc!r}); falling back to linprog",
                 RuntimeWarning,
@@ -448,7 +464,7 @@ class LinearProgramStructure:
         objective = result.x[self.u_index] if self.has_u else result.fun
         return self._result(result.x, objective)
 
-    def _build_model(self):
+    def _assemble_lp(self):
         a_all = self.a_eq if self.a_ub is None else sparse.vstack([self.a_eq, self.a_ub])
         a_all = a_all.tocsc()
         lp = _highs.HighsLp()
@@ -461,33 +477,33 @@ class LinearProgramStructure:
         lp.a_matrix_.start_ = a_all.indptr
         lp.a_matrix_.index_ = a_all.indices
         lp.a_matrix_.value_ = a_all.data
-        model = _highs._Highs()
-        model.setOptionValue("output_flag", False)
-        return model, lp
+        return lp
 
     def _solve_direct(
         self, demand: np.ndarray, b_eq: np.ndarray, warm_start: bool
     ) -> OptimalRouting:
-        if self._model is None:
-            self._model, self._model_lp = self._build_model()
-        lp = self._model_lp
+        solver = _thread_solver()
         num_ub = 0 if self.a_ub is None else self.a_ub.shape[0]
-        lp.row_lower_ = np.concatenate([b_eq, np.full(num_ub, -_highs.kHighsInf)])
-        lp.row_upper_ = np.concatenate([b_eq, np.zeros(num_ub)])
-        self._model.passModel(lp)
+        with self._lp_lock:
+            if self._lp is None:
+                self._lp = self._assemble_lp()
+            lp = self._lp
+            lp.row_lower_ = np.concatenate([b_eq, np.full(num_ub, -_highs.kHighsInf)])
+            lp.row_upper_ = np.concatenate([b_eq, np.zeros(num_ub)])
+            solver.passModel(lp)  # copies the LP: other threads may now load it
         if warm_start:
             start = self._shortest_path_start(demand)
             if start is not None:
                 solution = _highs.HighsSolution()
                 solution.col_value = start
                 solution.value_valid = True
-                self._model.setSolution(solution)
-        self._model.run()
-        status = self._model.getModelStatus()
+                solver.setSolution(solution)
+        solver.run()
+        status = solver.getModelStatus()
         if status != _highs.HighsModelStatus.kOptimal:
-            raise self._failure(self._model.modelStatusToString(status))
-        x = np.asarray(self._model.getSolution().col_value)
-        objective = x[self.u_index] if self.has_u else self._model.getInfo().objective_function_value
+            raise self._failure(solver.modelStatusToString(status))
+        x = np.asarray(solver.getSolution().col_value)
+        objective = x[self.u_index] if self.has_u else solver.getInfo().objective_function_value
         return self._result(x, objective)
 
 
@@ -495,10 +511,11 @@ class LinearProgramCache(KeyedLRU):
     """Keyed LRU of :class:`LinearProgramStructure` instances.
 
     Keys are exact: ``(network fingerprint, objective, destination
-    support)``.  A hit returns the shared structure — and with it the
-    persistent solver model — so demand matrices over the same support pay
-    only an RHS update plus a warm-started re-solve, mirroring how the
-    engine's ``FactorisationCache`` shares ``splu`` factorisations.
+    support)``.  A hit returns the shared structure and its assembled LP,
+    so demand matrices over the same support pay only an RHS update plus a
+    warm-started re-solve, mirroring how the engine's
+    ``FactorisationCache`` shares ``splu`` factorisations.  Entries hold no
+    solver: those are one per thread, however many entries there are.
     """
 
     def __init__(self, max_entries: int = 32):
@@ -519,7 +536,7 @@ class LinearProgramCache(KeyedLRU):
 
 #: Structures shared by every solve not handed a private cache — separate
 #: ``RewardComputer`` instances and repeated scenario runs in one process
-#: reuse each other's assembled systems and solver models.
+#: reuse each other's assembled systems.
 SHARED_LP_CACHE = LinearProgramCache(max_entries=32)
 
 # Per-thread cache override installed by :func:`use_lp_cache` — the same
@@ -544,8 +561,9 @@ def use_lp_cache(cache: LinearProgramCache):
     """Route this thread's default-cache LP solves through ``cache``.
 
     Lets a long-lived deployment (the routing service) keep private warm
-    structures without threading ``lp_cache=`` through every layer, and
-    without other threads observing the override.
+    structures (assembled LPs; the solvers stay one per thread) without
+    threading ``lp_cache=`` through every layer, and without other threads
+    observing the override.
     """
     previous = getattr(_AMBIENT, "lp_cache", None)
     _AMBIENT.lp_cache = cache

@@ -8,11 +8,9 @@ bidirected :class:`~repro.graphs.network.Network`.
 
 from __future__ import annotations
 
-
-import networkx as nx
 import numpy as np
 
-from repro.graphs.network import DEFAULT_CAPACITY, Network
+from repro.graphs.network import DEFAULT_CAPACITY, Network, undirected_components
 from repro.utils.seeding import SeedLike, rng_from_seed
 
 
@@ -22,19 +20,17 @@ def _require_nodes(num_nodes: int) -> int:
     return int(num_nodes)
 
 
-def _links_from_graph(graph: nx.Graph) -> list[tuple[int, int]]:
-    return sorted(tuple(sorted((int(u), int(v)))) for u, v in graph.edges())
-
-
-def _connect_components(graph: nx.Graph, rng: np.random.Generator) -> None:
+def _connect_components(
+    num_nodes: int, links: set[tuple[int, int]], rng: np.random.Generator
+) -> None:
     """Join disconnected components with random bridging links."""
-    components = [sorted(c) for c in nx.connected_components(graph)]
+    components = undirected_components(num_nodes, links)
     while len(components) > 1:
         a = components.pop()
         b = components[-1]
         u = int(rng.choice(a))
         v = int(rng.choice(b))
-        graph.add_edge(u, v)
+        links.add((min(u, v), max(u, v)))
         components[-1] = sorted(set(b) | set(a))
 
 
@@ -88,16 +84,14 @@ def erdos_renyi_network(
     if not 0.0 <= edge_probability <= 1.0:
         raise ValueError(f"edge_probability must be in [0,1], got {edge_probability}")
     rng = rng_from_seed(seed)
-    graph = nx.Graph()
-    graph.add_nodes_from(range(num_nodes))
-    for u in range(num_nodes):
-        for v in range(u + 1, num_nodes):
-            if rng.random() < edge_probability:
-                graph.add_edge(u, v)
-    _connect_components(graph, rng)
-    return Network.from_undirected(
-        num_nodes, _links_from_graph(graph), capacity, name=f"er-{num_nodes}"
-    )
+    links = {
+        (u, v)
+        for u in range(num_nodes)
+        for v in range(u + 1, num_nodes)
+        if rng.random() < edge_probability
+    }
+    _connect_components(num_nodes, links, rng)
+    return Network.from_undirected(num_nodes, sorted(links), capacity, name=f"er-{num_nodes}")
 
 
 def barabasi_albert_network(
@@ -111,23 +105,18 @@ def barabasi_albert_network(
     if attachment < 1 or attachment >= num_nodes:
         raise ValueError(f"attachment must be in [1, {num_nodes - 1}], got {attachment}")
     rng = rng_from_seed(seed)
-    graph = nx.Graph()
-    graph.add_nodes_from(range(attachment + 1))
-    for u in range(attachment + 1):
-        for v in range(u + 1, attachment + 1):
-            graph.add_edge(u, v)
-    repeated: list[int] = [n for e in graph.edges() for n in e]
+    # Seed clique, listed in nested-loop order: ``repeated`` holds every
+    # link end, so a node is drawn in proportion to its degree.
+    links = [(u, v) for u in range(attachment + 1) for v in range(u + 1, attachment + 1)]
+    repeated: list[int] = [n for link in links for n in link]
     for new_node in range(attachment + 1, num_nodes):
         targets: set[int] = set()
         while len(targets) < attachment:
             targets.add(int(rng.choice(repeated)))
-        graph.add_node(new_node)
         for t in targets:
-            graph.add_edge(new_node, t)
+            links.append((t, new_node))
             repeated += [new_node, t]
-    return Network.from_undirected(
-        num_nodes, _links_from_graph(graph), capacity, name=f"ba-{num_nodes}"
-    )
+    return Network.from_undirected(num_nodes, sorted(links), capacity, name=f"ba-{num_nodes}")
 
 
 def waxman_network(
@@ -147,17 +136,14 @@ def waxman_network(
     rng = rng_from_seed(seed)
     positions = rng.uniform(0.0, 1.0, size=(num_nodes, 2))
     max_dist = float(np.sqrt(2.0))
-    graph = nx.Graph()
-    graph.add_nodes_from(range(num_nodes))
+    links = set()
     for u in range(num_nodes):
         for v in range(u + 1, num_nodes):
             d = float(np.linalg.norm(positions[u] - positions[v]))
             if rng.random() < alpha * np.exp(-d / (beta * max_dist)):
-                graph.add_edge(u, v)
-    _connect_components(graph, rng)
-    return Network.from_undirected(
-        num_nodes, _links_from_graph(graph), capacity, name=f"waxman-{num_nodes}"
-    )
+                links.add((u, v))
+    _connect_components(num_nodes, links, rng)
+    return Network.from_undirected(num_nodes, sorted(links), capacity, name=f"waxman-{num_nodes}")
 
 
 def different_graphs_pool(

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-import networkx as nx
 import numpy as np
 
-from repro.graphs.network import Network
+from repro.graphs.network import Network, undirected_components
 from repro.utils.seeding import SeedLike, rng_from_seed
 
 MODIFICATION_KINDS = ("add_edge", "remove_edge", "add_node", "remove_node")
@@ -31,11 +30,58 @@ def _rebuild(num_nodes: int, links: set[tuple[int, int]], network: Network, suff
     )
 
 
-def _graph(num_nodes: int, links: set[tuple[int, int]]) -> nx.Graph:
-    graph = nx.Graph()
-    graph.add_nodes_from(range(num_nodes))
-    graph.add_edges_from(links)
-    return graph
+def _bridges_and_cut_vertices(
+    num_nodes: int, links: set[tuple[int, int]]
+) -> tuple[set[tuple[int, int]], set[int]]:
+    """Bridges (as sorted pairs) and cut vertices, from one lowlink DFS.
+
+    Iterative Hopcroft-Tarjan over every component.  The tree link into
+    ``node`` is a bridge when its subtree has no back link above ``node``
+    (``low[node] > disc[parent]``); a non-root ``parent`` is a cut vertex
+    when some child's subtree has none above ``parent`` (``>=``), a root
+    when it has more than one DFS child.  Links are simple, so skipping
+    the parent node skips exactly the tree link.
+    """
+    adjacency: list[list[int]] = [[] for _ in range(num_nodes)]
+    for u, v in links:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    disc = [-1] * num_nodes
+    low = [0] * num_nodes
+    bridges: set[tuple[int, int]] = set()
+    cut: set[int] = set()
+    clock = 0
+    for root in range(num_nodes):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = clock
+        clock += 1
+        root_children = 0
+        stack = [(root, -1, iter(adjacency[root]))]
+        while stack:
+            node, parent, neighbours = stack[-1]
+            for v in neighbours:
+                if disc[v] < 0:
+                    disc[v] = low[v] = clock
+                    clock += 1
+                    stack.append((v, node, iter(adjacency[v])))
+                    break
+                if v != parent and disc[v] < low[node]:
+                    low[node] = disc[v]
+            else:
+                stack.pop()
+                if parent < 0:
+                    continue
+                low[parent] = min(low[parent], low[node])
+                if low[node] > disc[parent]:
+                    bridges.add((min(parent, node), max(parent, node)))
+                if parent == root:
+                    root_children += 1
+                elif low[node] >= disc[parent]:
+                    cut.add(parent)
+        if root_children > 1:
+            cut.add(root)
+    return bridges, cut
 
 
 def add_random_edge(network: Network, rng: np.random.Generator) -> Optional[Network]:
@@ -56,11 +102,10 @@ def add_random_edge(network: Network, rng: np.random.Generator) -> Optional[Netw
 def remove_random_edge(network: Network, rng: np.random.Generator) -> Optional[Network]:
     """Remove one link whose deletion keeps the graph connected."""
     links = _undirected_links(network)
-    graph = _graph(network.num_nodes, links)
-    if not nx.is_connected(graph):
+    if len(undirected_components(network.num_nodes, links)) != 1:
         return None
     # A link can go unless it is a bridge: one pass finds them all.
-    bridges = {tuple(sorted(bridge)) for bridge in nx.bridges(graph)}
+    bridges, _ = _bridges_and_cut_vertices(network.num_nodes, links)
     candidates = [link for link in links if link not in bridges]
     if not candidates:
         return None
@@ -92,14 +137,14 @@ def remove_random_node(network: Network, rng: np.random.Generator) -> Optional[N
     if network.num_nodes <= 3:
         return None
     links = _undirected_links(network)
-    graph = _graph(network.num_nodes, links)
-    if nx.is_connected(graph):
+    components = undirected_components(network.num_nodes, links)
+    if len(components) == 1:
         # A node can go unless it is a cut vertex: one pass finds them all.
-        cut = set(nx.articulation_points(graph))
+        _, cut = _bridges_and_cut_vertices(network.num_nodes, links)
         candidates = [v for v in range(network.num_nodes) if v not in cut]
-    elif nx.number_connected_components(graph) == 2:
+    elif len(components) == 2:
         # Only an isolated node beside one connected remainder can go.
-        candidates = [v for v in range(network.num_nodes) if graph.degree(v) == 0]
+        candidates = [part[0] for part in components if len(part) == 1]
     else:
         candidates = []
     if not candidates:

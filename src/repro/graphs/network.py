@@ -18,10 +18,14 @@ al.) treat full-duplex links.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
-import networkx as nx
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
+
+if TYPE_CHECKING:  # networkx is only needed for interop, imported on use
+    import networkx as nx
 
 DEFAULT_CAPACITY = 10_000.0
 
@@ -148,6 +152,8 @@ class Network:
 
     def to_networkx(self) -> nx.DiGraph:
         """Export as a :class:`networkx.DiGraph` with ``capacity`` attributes."""
+        import networkx as nx
+
         graph = nx.DiGraph(name=self.name)
         graph.add_nodes_from(range(self.num_nodes))
         for idx, (u, v) in enumerate(self.edges):
@@ -170,7 +176,12 @@ class Network:
 
     def is_strongly_connected(self) -> bool:
         """Whether every ordered node pair is connected by a directed path."""
-        return nx.is_strongly_connected(self.to_networkx())
+        adjacency = sparse.csr_matrix(
+            (np.ones(self.num_edges), (self.senders, self.receivers)),
+            shape=(self.num_nodes, self.num_nodes),
+        )
+        count, _ = connected_components(adjacency, directed=True, connection="strong")
+        return count == 1
 
     def with_capacities(self, capacities: Union[float, Sequence[float]]) -> "Network":
         """Return a copy of this topology with different link capacities."""
@@ -245,3 +256,22 @@ class Network:
 
     def __hash__(self) -> int:
         return hash((self.num_nodes, self.edges, self.capacities.tobytes()))
+
+
+def undirected_components(num_nodes: int, links: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Connected components of an undirected link set over ``0..num_nodes-1``.
+
+    Each component is an ascending node list, and components come in order
+    of their lowest node, as ``networkx.connected_components`` yields them
+    for nodes inserted in ascending order.
+    """
+    pairs = np.array(list(links), dtype=np.int64).reshape(-1, 2)
+    adjacency = sparse.csr_matrix(
+        (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(num_nodes, num_nodes)
+    )
+    count, labels = connected_components(adjacency, directed=False)
+    components: list[list[int]] = [[] for _ in range(count)]
+    for node, label in enumerate(labels.tolist()):
+        components[label].append(node)
+    components.sort()  # disjoint ascending lists: sorts by lowest node
+    return components

@@ -3,8 +3,8 @@
 A :class:`ServiceEngine` is everything expensive about a deployment, paid
 once at construction: the topology built, every learned policy trained,
 every fixed strategy materialised, and the three cache layers primed —
-private :class:`~repro.flows.lp.LinearProgramCache` (constraint structures
-and persistent solver models), private
+private :class:`~repro.flows.lp.LinearProgramCache` (assembled constraint
+structures), private
 :class:`~repro.engine.backend.FactorisationCache` (per-destination ``splu``
 factors), and the rewarder's :class:`~repro.flows.lp.OptimalUtilisationCache`
 (LP optima per demand matrix, backed by the on-disk optimum store when
@@ -132,8 +132,8 @@ class ServiceEngine:
     def _warm(self) -> None:
         """Presolve what the held-out workload will ask for.
 
-        LP optima (and with them the constraint structures and persistent
-        solver models) for every distinct test demand matrix, then one
+        LP optima (and with them the assembled constraint structures) for
+        every distinct test demand matrix, then one
         stacked load solve per destination-based strategy so the sparse
         backend's factorisations exist before the first request.
         """

@@ -5,10 +5,21 @@ destination-aggregated formulation must agree with the paper's per-pair
 formulation on every tested instance.
 """
 
+import hashlib
+import os
+import subprocess
+import sys
+import threading
+import time
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.flows import lp as lp_module
 from repro.flows.lp import (
+    DIRECT_SOLVER_BREAKER,
     InfeasibleRoutingError,
     LinearProgramCache,
     LinearProgramStructure,
@@ -17,12 +28,13 @@ from repro.flows.lp import (
     _loop_assemble,
     _reference_solve,
     demand_destinations,
+    direct_solver_available,
     network_fingerprint,
     solve_mcf_per_pair,
     solve_optimal_average_utilisation,
     solve_optimal_max_utilisation,
 )
-from repro.graphs import Network, abilene, random_connected_network
+from repro.graphs import Network, abilene, random_connected_network, topology
 from repro.traffic import bimodal_matrix, gravity_matrix, sparse_matrix
 from tests.helpers import line_network, square_network, triangle_network
 
@@ -263,6 +275,123 @@ class TestStructureCache:
         assert len(cache) == 2
         with pytest.raises(ValueError):
             LinearProgramCache(max_entries=0)
+
+
+def result_digest(result) -> str:
+    """Bytes of an LP result: the optimum and every commodity flow."""
+    payload = hashlib.sha256(np.float64(result.max_utilisation).tobytes())
+    payload.update(np.ascontiguousarray(result.commodity_flows).tobytes())
+    return payload.hexdigest()
+
+
+#: Solves one nsfnet bimodal demand on a fresh structure in a clean process.
+CLEAN_SOLVE = """
+import sys
+from repro.flows.lp import LinearProgramStructure
+from repro.graphs import topology
+from repro.traffic import bimodal_matrix
+from tests.test_flows_lp import result_digest
+net = topology("nsfnet")
+structure = LinearProgramStructure(net, range(net.num_nodes))
+print(result_digest(structure.solve(bimodal_matrix(net.num_nodes, seed=int(sys.argv[1])))))
+"""
+
+
+@pytest.mark.skipif(not direct_solver_available(), reason="direct HiGHS bindings unavailable")
+class TestThreadSolvers:
+    """Structures hold only the assembled LP; each thread has its own solver."""
+
+    @pytest.fixture(autouse=True)
+    def clean_breaker(self):
+        DIRECT_SOLVER_BREAKER.reset()
+        yield
+        DIRECT_SOLVER_BREAKER.reset()
+
+    def test_threads_sharing_a_structure_match_serial_solves(self):
+        net = abilene()
+        structure = LinearProgramStructure(net, range(net.num_nodes))
+        demands = [bimodal_matrix(net.num_nodes, seed=seed) for seed in range(16)]
+        serial = [result_digest(structure.solve(dm)) for dm in demands]
+
+        class SlowLoad(lp_module._highs._Highs):
+            """Yields the GIL before loading, so any race on the shared LP shows."""
+
+            def passModel(self, lp):
+                time.sleep(0.002)
+                return super().passModel(lp)
+
+        threaded = [None] * len(demands)
+        barrier = threading.Barrier(2)
+
+        def worker(offset):
+            solver = SlowLoad()
+            solver.setOptionValue("output_flag", False)
+            lp_module._SOLVERS.highs = solver
+            barrier.wait()
+            for i in range(offset, len(demands), 2):
+                threaded[i] = result_digest(structure.solve(demands[i]))
+
+        threads = [threading.Thread(target=worker, args=(offset,)) for offset in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert threaded == serial
+
+    def test_failed_run_drops_only_this_threads_solver(self, monkeypatch):
+        net = topology("nsfnet")
+        structure = LinearProgramStructure(net, range(net.num_nodes))
+        demand = bimodal_matrix(net.num_nodes, seed=5)
+
+        # Another thread solves first and keeps its solver across the failure.
+        solved, failed, verdict = threading.Event(), threading.Event(), {}
+
+        def bystander():
+            structure.solve(demand)
+            own = lp_module._SOLVERS.highs
+            solved.set()
+            failed.wait(timeout=60)
+            verdict["kept"] = lp_module._SOLVERS.highs is own
+
+        other = threading.Thread(target=bystander)
+        other.start()
+        assert solved.wait(timeout=60)
+
+        class FailingRun(lp_module._highs._Highs):
+            def run(self):
+                raise RuntimeError("injected HiGHS failure")
+
+        flaky = FailingRun()
+        flaky.setOptionValue("output_flag", False)
+        monkeypatch.setattr(lp_module._SOLVERS, "highs", flaky, raising=False)
+        with pytest.warns(RuntimeWarning, match="falling back to linprog"):
+            fallback = structure.solve(demand)
+        failed.set()
+        other.join(timeout=60)
+        assert not other.is_alive()
+        assert verdict == {"kept": True}
+        assert lp_module._SOLVERS.highs is None
+        assert result_digest(fallback) == result_digest(
+            structure._solve_linprog(structure.equality_rhs(demand))
+        )
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            again = structure.solve(demand)
+        assert type(lp_module._SOLVERS.highs) is lp_module._highs._Highs
+        assert DIRECT_SOLVER_BREAKER.state == "closed"
+        root = Path(__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-c", CLEAN_SOLVE, "5"],
+            cwd=root,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)])},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert result_digest(again) == proc.stdout.strip()
 
 
 class TestCache:

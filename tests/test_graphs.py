@@ -1,5 +1,10 @@
 """Tests for the Network model, the topology zoo and the generators."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -15,9 +20,14 @@ from repro.graphs import (
     topology,
     waxman_network,
 )
+from repro.graphs import generators
 from repro.graphs.generators import different_graphs_pool, random_spanning_tree
+from repro.graphs.network import undirected_components
 from repro.graphs.zoo import ABILENE_LINKS, NSFNET_LINKS, zoo_mixture
+from tests import oracles
 from tests.helpers import line_network, square_network, triangle_network
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 class TestNetworkConstruction:
@@ -130,6 +140,29 @@ class TestNetworkConversion:
         assert triangle_network().is_strongly_connected()
         one_way = Network(3, [(0, 1), (1, 2)])
         assert not one_way.is_strongly_connected()
+
+    def test_networkx_stays_off_the_import_path(self):
+        """Only interop and tests use networkx: importing the package must not."""
+        script = (
+            "import sys\n"
+            "import repro, repro.api, repro.experiments.runner\n"
+            "assert 'networkx' not in sys.modules, 'networkx imported'\n"
+            "from repro.graphs import abilene, Network\n"
+            "net = abilene()\n"
+            "back = Network.from_networkx(net.to_networkx())\n"
+            "links = lambda n: set(zip(n.edges, n.capacities.tolist()))\n"
+            "assert (back.num_nodes, back.name, links(back)) == (11, 'abilene', links(net))\n"
+            "print('ok')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"
 
 
 class TestShortestPaths:
@@ -255,3 +288,45 @@ class TestGenerators:
     def test_rejects_tiny_node_counts(self):
         with pytest.raises(ValueError):
             random_connected_network(1, 0, seed=0)
+
+
+#: (case, generator name, keyword arguments) for the differential tests;
+#: the sparse ER and Waxman settings leave most draws disconnected before the
+#: repair step.
+GENERATOR_CASES = [
+    ("er-sparse", "erdos_renyi_network", {"edge_probability": 0.05}),
+    ("er-dense", "erdos_renyi_network", {"edge_probability": 0.3}),
+    ("ba-1", "barabasi_albert_network", {"attachment": 1}),
+    ("ba-3", "barabasi_albert_network", {"attachment": 3}),
+    ("waxman", "waxman_network", {}),
+    ("waxman-sparse", "waxman_network", {"alpha": 0.2, "beta": 0.1}),
+]
+
+
+class TestGeneratorsMatchOracle:
+    """Plain link sets draw exactly what the networkx-backed generators drew."""
+
+    @pytest.mark.parametrize(
+        "name, kwargs", [case[1:] for case in GENERATOR_CASES], ids=[c[0] for c in GENERATOR_CASES]
+    )
+    def test_equal_networks_over_seeds_and_sizes(self, name, kwargs, monkeypatch):
+        repairs = []
+        connect = generators._connect_components
+
+        def counting_connect(num_nodes, links, rng):
+            repairs.append(len(undirected_components(num_nodes, links)) > 1)
+            connect(num_nodes, links, rng)
+
+        monkeypatch.setattr(generators, "_connect_components", counting_connect)
+        for seed in range(60):
+            num_nodes = 4 + seed % 30
+            actual = getattr(generators, name)(num_nodes, seed=seed, **kwargs)
+            expected = getattr(oracles, name)(num_nodes, seed=seed, **kwargs)
+            assert actual == expected, (num_nodes, seed)
+            assert actual.name == expected.name
+        if name != "barabasi_albert_network":
+            assert any(repairs), "no draw needed its components joined"
+
+    def test_undirected_components_order_and_isolated_nodes(self):
+        assert undirected_components(6, {(4, 5), (0, 3), (2, 3)}) == [[0, 2, 3], [1], [4, 5]]
+        assert undirected_components(3, set()) == [[0], [1], [2]]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graphs import TOPOLOGY_NAMES, Network, abilene, random_modification, topology
+from repro.graphs import modifications
 from repro.graphs.modifications import (
     MODIFICATION_KINDS,
     add_random_edge,
@@ -76,38 +77,63 @@ DISCONNECTED = {
 }
 
 
+#: Edge and node removal as the per-candidate loops and as the networkx
+#: bridge / articulation-point passes did them.
+EDGE_ORACLES = (oracles.remove_random_edge, oracles.bridge_remove_random_edge)
+NODE_ORACLES = (oracles.remove_random_node, oracles.cut_vertex_remove_random_node)
+
+
 class TestMatchesOracle:
-    """The bridge and cut-vertex passes draw exactly what the loops drew."""
+    """The lowlink pass draws exactly what the loops and networkx drew."""
 
     @pytest.mark.parametrize("name", TOPOLOGY_NAMES)
     def test_remove_edge_chained_draws(self, name):
-        for seed in range(3):
-            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            net = expected = topology(name)
-            for _ in range(2):
-                net = remove_random_edge(net, rng)
-                expected = oracles.remove_random_edge(expected, oracle_rng)
-                assert_same_network(net, expected)
+        for seed in range(4):
+            for oracle in EDGE_ORACLES:
+                rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                net = expected = topology(name)
+                for _ in range(2):
+                    net = remove_random_edge(net, rng)
+                    expected = oracle(expected, oracle_rng)
+                    assert_same_network(net, expected)
 
     @pytest.mark.parametrize("name", TOPOLOGY_NAMES)
     def test_remove_node(self, name):
-        for seed in range(2):
-            assert_same_network(
-                remove_random_node(topology(name), np.random.default_rng(seed)),
-                oracles.remove_random_node(topology(name), np.random.default_rng(seed)),
-            )
+        for seed in range(4):
+            for oracle in NODE_ORACLES:
+                assert_same_network(
+                    remove_random_node(topology(name), np.random.default_rng(seed)),
+                    oracle(topology(name), np.random.default_rng(seed)),
+                )
+
+    @pytest.mark.parametrize("name", TOPOLOGY_NAMES)
+    def test_random_modification(self, name, monkeypatch):
+        seeds = range(6)
+        actual = [random_modification(topology(name), seed=seed) for seed in seeds]
+        monkeypatch.setattr(modifications, "remove_random_edge", oracles.bridge_remove_random_edge)
+        monkeypatch.setattr(
+            modifications, "remove_random_node", oracles.cut_vertex_remove_random_node
+        )
+        for seed, net in zip(seeds, actual):
+            assert_same_network(net, random_modification(topology(name), seed=seed))
 
     @pytest.mark.parametrize("label", sorted(DISCONNECTED))
     def test_disconnected_inputs(self, label):
         net = DISCONNECTED[label]
-        for operator, oracle in (
-            (remove_random_edge, oracles.remove_random_edge),
-            (remove_random_node, oracles.remove_random_node),
-        ):
-            assert_same_network(
-                operator(net, np.random.default_rng(0)), oracle(net, np.random.default_rng(0))
-            )
+        for seed in range(3):
+            for operator, oracle in [(remove_random_edge, o) for o in EDGE_ORACLES] + [
+                (remove_random_node, o) for o in NODE_ORACLES
+            ]:
+                assert_same_network(
+                    operator(net, np.random.default_rng(seed)),
+                    oracle(net, np.random.default_rng(seed)),
+                )
         assert remove_random_edge(net, np.random.default_rng(0)) is None
+
+    def test_isolated_node_is_the_one_removable_node(self):
+        assert remove_random_node(DISCONNECTED["isolated-node"], np.random.default_rng(0)) == (
+            Network.from_undirected(4, [(0, 1), (0, 3), (1, 2), (2, 3)])
+        )
 
 
 class TestRandomModification:

@@ -9,11 +9,14 @@ graphs, weights and demands:
 * shortest-path and ECMP tables route along shortest paths, loop-free,
   and do not depend on how nodes are labelled;
 * removing a random edge never disconnects the graph;
+* the lowlink pass finds exactly networkx's bridges and articulation
+  points, and strong connectivity agrees with networkx;
 * the LP optimum lower-bounds every concrete routing's utilisation;
 * flow is conserved end-to-end through the simulator;
 * autodiff segment ops agree with their numpy definitions.
 """
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from repro.flows.lp import solve_optimal_max_utilisation
 from repro.flows.simulator import link_loads, max_link_utilisation
 from repro.graphs.generators import random_connected_network
-from repro.graphs.modifications import remove_random_edge
+from repro.graphs.modifications import _bridges_and_cut_vertices, remove_random_edge
 from repro.graphs.network import Network
 from repro.routing.dag import prune_by_distance, prune_graph_frontier
 from repro.routing.shortest_path import ecmp_routing, shortest_path_routing
@@ -263,6 +266,58 @@ class TestEdgeRemovalProperties:
         assert out.is_strongly_connected()
         remaining = {tuple(sorted(edge)) for edge in out.edges}
         assert remaining < links and len(remaining) == len(links) - 1
+
+
+@st.composite
+def undirected_link_set(draw):
+    """Any simple undirected graph on 1-12 nodes: often disconnected, often
+    with isolated nodes."""
+    num_nodes = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(num_nodes) for v in range(u + 1, num_nodes)]
+    links = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return num_nodes, links
+
+
+@st.composite
+def one_way_digraph(draw):
+    """A connected skeleton whose links each run both ways or one way only."""
+    seed = draw(st.integers(0, 10_000))
+    num_nodes = draw(st.integers(2, 9))
+    extra = draw(st.integers(0, 6))
+    net = network_for(seed, num_nodes, extra)
+    links = sorted({tuple(sorted(edge)) for edge in net.edges})
+    ways = draw(
+        st.lists(
+            st.sampled_from(["both", "forward", "backward"]),
+            min_size=len(links),
+            max_size=len(links),
+        )
+    )
+    edges = []
+    for (u, v), way in zip(links, ways):
+        if way != "backward":
+            edges.append((u, v))
+        if way != "forward":
+            edges.append((v, u))
+    return Network(net.num_nodes, edges)
+
+
+class TestGraphStructureProperties:
+    @given(data=undirected_link_set())
+    @settings(max_examples=300, deadline=None)
+    def test_lowlink_pass_matches_networkx(self, data):
+        num_nodes, links = data
+        graph = nx.Graph()
+        graph.add_nodes_from(range(num_nodes))
+        graph.add_edges_from(links)
+        bridges, cut = _bridges_and_cut_vertices(num_nodes, links)
+        assert bridges == {tuple(sorted(bridge)) for bridge in nx.bridges(graph)}
+        assert cut == set(nx.articulation_points(graph))
+
+    @given(net=one_way_digraph())
+    @settings(max_examples=200, deadline=None)
+    def test_strong_connectivity_matches_networkx(self, net):
+        assert net.is_strongly_connected() == nx.is_strongly_connected(net.to_networkx())
 
 
 class TestSegmentOpProperties:
