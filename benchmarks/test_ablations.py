@@ -14,11 +14,12 @@ of the reproduction:
 import numpy as np
 import pytest
 
-from repro.flows.lp import solve_mcf_per_pair, solve_optimal_max_utilisation
+from repro.flows.lp import solve_optimal_max_utilisation
 from repro.flows.simulator import max_link_utilisation
 from repro.graphs import abilene
 from repro.routing.softmin import softmin_routing
 from repro.traffic import bimodal_matrix, cyclical_sequence
+from tests import oracles
 
 # Full experiment runs: excluded from tier-1 (see pyproject addopts);
 # run with `pytest benchmarks -m ''` or the nightly benchmark workflow.
@@ -83,7 +84,9 @@ def test_lp_formulation_cost(benchmark, abilene_demand, formulation):
     faster; this bench records both sides."""
     net, dm, _ = abilene_demand
     solver = (
-        solve_optimal_max_utilisation if formulation == "aggregated" else solve_mcf_per_pair
+        solve_optimal_max_utilisation
+        if formulation == "aggregated"
+        else oracles.solve_mcf_per_pair
     )
     result = benchmark(solver, net, dm)
     reference = solve_optimal_max_utilisation(net, dm).max_utilisation

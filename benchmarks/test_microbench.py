@@ -17,6 +17,7 @@ from repro.graphs import abilene, nsfnet
 from repro.policies import GNNPolicy, MLPPolicy
 from repro.routing.softmin import softmin_routing
 from repro.traffic import bimodal_matrix, sparse_matrix
+from tests import oracles
 
 
 @pytest.fixture(scope="module")
@@ -129,8 +130,8 @@ def test_scalar_reference_evaluation(benchmark):
     net, weights, dm = _engine_workload()
 
     def scalar():
-        routing = softmin_routing(net, weights, gamma=2.0, vectorized=False)
-        return link_loads(net, routing, dm, vectorized=False)
+        routing = oracles.softmin_routing(net, weights, gamma=2.0)
+        return oracles.link_loads(net, routing, dm)
 
     loads = benchmark(scalar)
     assert np.all(np.isfinite(loads))
@@ -155,7 +156,7 @@ def test_engine_speedup_meets_target():
     Runs in tier-1 (it takes well under a second) so the engine can never
     silently regress to scalar-level performance.
     """
-    from repro.engine.benchmark import engine_speedup
+    from benchmarks.engine_bench import engine_speedup
 
     # 5 best-of repeats: the margin is ~3x the floor, so only a sustained
     # scheduler stall across all repeats could flake this on a CI runner.
@@ -263,7 +264,7 @@ def test_lp_phase_speedup_meets_target():
     ~10-13x, so only a real regression can breach the 5x floor.  Optima are
     pinned equal to 1e-8 inside the comparison before any timing.
     """
-    from repro.engine.benchmark import lp_phase_comparison
+    from benchmarks.engine_bench import lp_phase_comparison
     from repro.flows.lp import direct_solver_available
 
     if not direct_solver_available():
@@ -526,7 +527,7 @@ def test_sparse_backend_beats_dense_on_large_topology():
     factorisation caches (the measured margin is ~2-3x; 1.2x is asserted so
     only a real regression, not scheduler noise, can fail it).
     """
-    from repro.engine.benchmark import backend_comparison
+    from benchmarks.engine_bench import backend_comparison
 
     result = backend_comparison(num_nodes=320, num_matrices=4, seed=0, repeats=3)
     assert result.auto_backend == "sparse", (

@@ -1,7 +1,8 @@
 """Batched flow simulation: stacked ``(I - Pᵀ)`` solves over destinations.
 
-The scalar simulator solves one ``n × n`` linear system per destination (or
-per flow) in a Python loop.  Here the systems are assembled as one
+The scalar simulator (kept as the reference in ``tests/oracles.py``) solves
+one ``n × n`` linear system per destination (or per flow) in a Python loop.
+Here the systems are assembled as one
 ``(k, n, n)`` stack and handed to a single batched :func:`numpy.linalg.solve`
 call, which dispatches to LAPACK once for the whole batch.  For a *fixed*
 routing evaluated over many demand matrices the per-destination systems do
@@ -53,8 +54,8 @@ def _stacked_systems(
     """The ``(k, n, n)`` stack of ``I - Pᵀ`` balance systems.
 
     ``table`` holds one splitting-ratio row per batch member; ``targets[i]``
-    is member ``i``'s absorbing destination (its forwarding row is zeroed,
-    exactly like the scalar ``_forwarding_matrix``).
+    is member ``i``'s absorbing destination (its forwarding row is zeroed:
+    the destination absorbs).
     """
     k = table.shape[0]
     n = network.num_nodes

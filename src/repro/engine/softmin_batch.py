@@ -1,7 +1,9 @@
 """Vectorized softmin translation: all destinations in one array program.
 
-The scalar pipeline in :mod:`repro.routing.softmin` runs one Dijkstra per
-destination and then loops over every vertex and out-edge in Python.  This
+The scalar pipeline (the per-destination loop over
+:mod:`repro.routing.softmin`'s helpers, kept as the reference in
+``tests/oracles.py``) runs one Dijkstra per destination and then loops
+over every vertex and out-edge in Python.  This
 module computes the same destination-based splitting-ratio table as a batch:
 
 1. all weighted distance-to-target vectors at once, as the ``(n, n)`` matrix

@@ -7,7 +7,7 @@ The experiments layer is a thin veneer over :mod:`repro.api`:
   ``paper`` for the full 500k-timestep schedule), referenced by every
   scenario spec's training axis;
 * :mod:`~repro.experiments.runner` — the CLI
-  (``run``/``sweep``/``worker``/``serve``/``list``/``describe``/``bench``);
+  (``run``/``sweep``/``worker``/``serve``/``list``/``describe``);
 * :mod:`~repro.experiments.reporting` — plain-text result rendering.
 
 The paper's figures are the bundled ``fig6``/``fig7``/``fig8-*``/

@@ -100,62 +100,3 @@ def format_sweep(result, store_dir=None) -> str:
         footer += f" (store: {store_dir})"
     lines += ["", footer]
     return "\n".join(lines)
-
-
-def format_engine_bench(result) -> str:
-    """The engine microbenchmark: scalar vs batched evaluation timing."""
-    return "\n".join(
-        [
-            "Batch evaluation engine - scalar reference vs vectorized",
-            f"  workload: {result.num_matrices} full demand matrices on a "
-            f"{result.num_nodes}-node / {result.num_edges}-edge graph",
-            f"  scalar loops:   {result.scalar_seconds * 1e3:8.2f} ms",
-            f"  batched engine: {result.batched_seconds * 1e3:8.2f} ms",
-            f"  speedup: {result.speedup:.1f}x (acceptance floor: 5x)",
-        ]
-    )
-
-
-def format_lp_bench(result) -> str:
-    """The LP-phase benchmark: loop-assembled fresh solves vs structure reuse.
-
-    ``result`` is a :class:`repro.engine.benchmark.LPBenchmark`; the legacy
-    side is the pre-structure-cache pipeline (per-commodity loop assembly +
-    a fresh solver per matrix), the structured side the vectorized,
-    warm-started structure-cache path.
-    """
-    solver = "direct HiGHS (warm-started)" if result.direct_solver else "linprog fallback"
-    return "\n".join(
-        [
-            "LP reward denominator - loop-assembled fresh solves vs structure reuse",
-            f"  workload: {result.num_matrices} distinct sparse demand matrices on "
-            f"{result.topology_name} ({result.num_nodes} nodes / {result.num_edges} edges)",
-            f"  solver path: {solver}",
-            f"  legacy pipeline:     {result.legacy_seconds * 1e3:8.1f} ms",
-            f"  structure-reusing:   {result.structured_seconds * 1e3:8.1f} ms",
-            f"  speedup: {result.speedup:.1f}x (acceptance floor: 5x)",
-        ]
-    )
-
-
-def format_backend_bench(results) -> str:
-    """Dense-vs-sparse backend comparison as a per-size table.
-
-    ``results`` is a list of :class:`repro.engine.benchmark.BackendBenchmark`;
-    the ``auto`` column shows what the selection rule would pick for each
-    topology (sparse speedups < 1 at small sizes are expected — that is
-    exactly why ``auto`` keeps dense there).
-    """
-    lines = [
-        "Solver backend - dense stacked LAPACK vs sparse splu factorisation",
-        "  (fixed-routing sequence solves; 'auto' = what backend selection picks)",
-        "",
-        "  nodes  edges  DMs   dense (ms)  sparse (ms)  sparse speedup  auto",
-    ]
-    for r in results:
-        lines.append(
-            f"  {r.num_nodes:>5}  {r.num_edges:>5}  {r.num_matrices:>3}"
-            f"  {r.dense_seconds * 1e3:>10.2f}  {r.sparse_seconds * 1e3:>11.2f}"
-            f"  {r.speedup:>13.2f}x  {r.auto_backend}"
-        )
-    return "\n".join(lines)

@@ -29,9 +29,6 @@ Usage::
     python -m repro.experiments.runner list dynamics --json
     python -m repro.experiments.runner describe dynamics link_flap
 
-    # Time the batch engine against the scalar reference (preset-sized)
-    python -m repro.experiments.runner bench --preset standard
-
 ``--set PATH=VALUE`` applies a dotted-path override to the scenario spec
 (values parse as JSON, falling back to strings), so any axis is adjustable
 from the shell.  ``--timesteps`` remains shorthand for
@@ -54,13 +51,7 @@ from repro.api.store import ResultStore
 from repro.api.sweep import SweepExecutionError, sweep as run_sweep
 from repro.distributed.queue import QueueError
 from repro.experiments.config import PRESETS
-from repro.experiments.reporting import (
-    format_backend_bench,
-    format_engine_bench,
-    format_lp_bench,
-    format_scenario,
-    format_sweep,
-)
+from repro.experiments.reporting import format_scenario, format_sweep
 
 LIST_AXES = ("topologies", "traffic", "strategies", "policies", "dynamics", "scenarios", "all")
 
@@ -336,26 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the record as JSON instead of formatted text",
     )
 
-    bench_p = sub.add_parser(
-        "bench",
-        help="time the batch evaluation engine against the scalar reference "
-        "and the sparse backend against the dense one",
-    )
-    bench_p.add_argument(
-        "--preset",
-        default="quick",
-        choices=sorted(PRESETS),
-        help="bench workload size (see repro.engine.benchmark.BENCH_WORKLOADS)",
-    )
-    bench_p.add_argument("--seed", type=int, default=0)
-    bench_p.add_argument(
-        "--sparse-nodes",
-        type=int,
-        default=None,
-        metavar="N",
-        help="compare dense vs sparse at one topology size instead of the "
-        "preset's size ladder (repro.engine.benchmark.SPARSE_BENCH_NODES)",
-    )
     return parser
 
 
@@ -586,44 +557,6 @@ def _cmd_describe(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.engine.benchmark import (
-        backend_comparison,
-        bench_workload,
-        engine_speedup,
-        lp_bench_matrices,
-        lp_phase_comparison,
-        sparse_bench_nodes,
-    )
-
-    if args.sparse_nodes is not None and args.sparse_nodes < 16:
-        raise SpecValidationError(
-            f"--sparse-nodes must be >= 16, got {args.sparse_nodes}"
-        )
-    workload = bench_workload(args.preset)
-    print(format_engine_bench(engine_speedup(seed=args.seed, **workload)))
-    print()
-    sizes = (
-        (args.sparse_nodes,)
-        if args.sparse_nodes is not None
-        else sparse_bench_nodes(args.preset)
-    )
-    print(
-        format_backend_bench(
-            [backend_comparison(num_nodes=n, seed=args.seed) for n in sizes]
-        )
-    )
-    print()
-    print(
-        format_lp_bench(
-            lp_phase_comparison(
-                num_matrices=lp_bench_matrices(args.preset), seed=args.seed
-            )
-        )
-    )
-    return 0
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "lp_store", None):
@@ -643,9 +576,7 @@ def main(argv=None) -> int:
             return _cmd_serve(args)
         if args.command == "list":
             return _cmd_list(args)
-        if args.command == "describe":
-            return _cmd_describe(args)
-        return _cmd_bench(args)
+        return _cmd_describe(args)
     except (SpecValidationError, UnknownComponentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,7 +21,6 @@ from repro.flows.lp import (
     direct_solver_available,
     network_fingerprint,
     shared_lp_cache,
-    solve_mcf_per_pair,
     solve_optimal_average_utilisation,
     solve_optimal_max_utilisation,
     use_lp_cache,
@@ -45,7 +44,6 @@ __all__ = [
     "shared_lp_cache",
     "solve_optimal_max_utilisation",
     "solve_optimal_average_utilisation",
-    "solve_mcf_per_pair",
     "use_lp_cache",
     "link_loads",
     "max_link_utilisation",

@@ -5,18 +5,14 @@ splittable multicommodity-flow (MCF) problem that minimises the maximum link
 utilisation ``U_max`` (paper §II-A, Equation 1), using Google OR-Tools.  We
 solve the identical LP with HiGHS.
 
-Two formulations are provided:
-
-* :func:`solve_optimal_max_utilisation` — **destination-aggregated**: one
-  commodity per destination node, variables ``f_t(e)`` (flow destined to
-  ``t`` on edge ``e``).  O(|V|·|E|) variables.  For splittable flow this has
-  the same optimum as the per-pair formulation (flows to the same
-  destination can always be merged without increasing any link load).
-* :func:`solve_mcf_per_pair` — the textbook per-(source, destination)
-  commodity formulation from paper §II-A, kept as a cross-check oracle for
-  tests and ablations.  O(|V|²·|E|) variables.  Deliberately left on the
-  original loop-assembled :func:`scipy.optimize.linprog` pipeline so the
-  oracle stays independent of the fast path it checks.
+:func:`solve_optimal_max_utilisation` uses the **destination-aggregated**
+formulation: one commodity per destination node, variables ``f_t(e)`` (flow
+destined to ``t`` on edge ``e``).  O(|V|·|E|) variables.  For splittable
+flow this has the same optimum as the paper's textbook per-(source,
+destination) formulation (flows to the same destination can always be
+merged without increasing any link load); ``tests/oracles.py`` keeps that
+per-pair LP, and the loop-assembled fresh-``linprog`` pipeline this module
+replaced, as the cross-check oracles.
 
 Structure reuse
 ---------------
@@ -168,6 +164,8 @@ def _validate_inputs(network: Network, demand_matrix: np.ndarray) -> np.ndarray:
             f"demand matrix is {demand.shape[0]}x{demand.shape[0]} but network has "
             f"{network.num_nodes} nodes"
         )
+    if not np.all(np.isfinite(demand)):
+        raise ValueError("demands must be finite")
     if np.any(demand < 0.0):
         raise ValueError("demands must be non-negative")
     if np.any(np.diag(demand) != 0.0):
@@ -205,59 +203,6 @@ def demand_destinations(demand: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Constraint assembly
 # ---------------------------------------------------------------------------
-
-
-def _loop_assemble(network: Network, destinations, objective: str = "max"):
-    """Reference loop assembly (the pre-structure-cache implementation).
-
-    Returns ``(a_eq, a_ub, cost)`` exactly as the original per-commodity
-    ``lil_matrix`` + ``sparse.hstack`` code built them (``a_ub`` is ``None``
-    for the average objective).  Kept as the oracle the vectorized assembly
-    is property-tested against, and as the "main" side of the LP-phase
-    benchmark.
-    """
-    if objective not in LP_OBJECTIVES:
-        raise ValueError(f"objective must be one of {LP_OBJECTIVES}, got {objective!r}")
-    n, m = network.num_nodes, network.num_edges
-    destinations = [int(t) for t in destinations]
-    k = len(destinations)
-    has_u = objective == "max"
-    num_vars = k * m + (1 if has_u else 0)
-    u_index = k * m
-
-    incidence = sparse.lil_matrix((n, m))
-    for e, (u, v) in enumerate(network.edges):
-        incidence[u, e] = 1.0
-        incidence[v, e] = -1.0
-    incidence = incidence.tocsr()
-
-    eq_rows = []
-    for ci, t in enumerate(destinations):
-        keep = np.array([v for v in range(n) if v != t])
-        block = incidence[keep]
-        padded = sparse.hstack(
-            [
-                sparse.csr_matrix((n - 1, ci * m)),
-                block,
-                sparse.csr_matrix((n - 1, (k - ci - 1) * m + (1 if has_u else 0))),
-            ]
-        )
-        eq_rows.append(padded)
-    a_eq = sparse.vstack(eq_rows).tocsr()
-
-    if has_u:
-        ub = sparse.lil_matrix((m, num_vars))
-        for e in range(m):
-            for ci in range(k):
-                ub[e, ci * m + e] = 1.0
-            ub[e, u_index] = -float(network.capacities[e])
-        a_ub = ub.tocsr()
-        cost = np.zeros(num_vars)
-        cost[u_index] = 1.0
-    else:
-        a_ub = None
-        cost = np.tile(1.0 / (m * network.capacities), k)
-    return a_eq, a_ub, cost
 
 
 class LinearProgramStructure:
@@ -637,127 +582,6 @@ def solve_optimal_average_utilisation(
     return cache.structure(network, destinations, "average").solve(demand)
 
 
-def _reference_solve(network: Network, demand_matrix: np.ndarray) -> OptimalRouting:
-    """The pre-structure-cache pipeline: loop assembly + fresh ``linprog``.
-
-    Solves the identical destination-aggregated LP with no structure or
-    model reuse.  This is the "main" side of the LP-phase benchmark and an
-    independent oracle for the re-solve equivalence tests.
-    """
-    demand = _validate_inputs(network, demand_matrix)
-    m = network.num_edges
-    destinations = [int(t) for t in demand_destinations(demand)]
-    if not destinations:
-        return OptimalRouting(0.0, np.zeros(m), np.zeros((0, m)))
-    k = len(destinations)
-    u_index = k * m
-    a_eq, a_ub, cost = _loop_assemble(network, destinations, "max")
-    keep = [np.array([v for v in range(network.num_nodes) if v != t]) for t in destinations]
-    b_eq = np.concatenate([demand[rows, t] for rows, t in zip(keep, destinations)])
-    result = linprog(
-        cost,
-        A_ub=a_ub,
-        b_ub=np.zeros(m),
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=(0, None),
-        method="highs",
-    )
-    if not result.success:
-        raise InfeasibleRoutingError(
-            f"optimal-routing LP failed on {network!r}: {result.message}"
-        )
-    solution = result.x
-    commodity_flows = solution[: k * m].reshape(k, m)
-    return OptimalRouting(
-        float(solution[u_index]), commodity_flows.sum(axis=0), commodity_flows
-    )
-
-
-def solve_mcf_per_pair(
-    network: Network, demand_matrix: np.ndarray
-) -> OptimalRouting:
-    """Textbook per-(s, t) commodity MCF (paper §II-A) — the test oracle.
-
-    One commodity per non-zero demand entry; variables are the *fractions*
-    ``f_i(e)`` of commodity ``i`` on edge ``e``, exactly as in the paper's
-    constraint list, so capacity rows read
-    ``sum_i f_i(e) * d_i <= U * c(e)``.
-
-    Intentionally stays on the original loop-assembled ``linprog`` pipeline
-    so it remains an implementation-independent cross-check for the
-    structure-cached fast path.
-    """
-    demand = _validate_inputs(network, demand_matrix)
-    n, m = network.num_nodes, network.num_edges
-
-    commodities = [
-        (s, t, demand[s, t]) for s in range(n) for t in range(n) if demand[s, t] > 0.0
-    ]
-    if not commodities:
-        return OptimalRouting(0.0, np.zeros(m), np.zeros((0, m)))
-
-    k = len(commodities)
-    num_vars = k * m + 1
-    u_index = k * m
-
-    incidence = sparse.lil_matrix((n, m))
-    for e, (u, v) in enumerate(network.edges):
-        incidence[u, e] = 1.0
-        incidence[v, e] = -1.0
-    incidence = incidence.tocsr()
-
-    eq_rows, eq_rhs = [], []
-    for ci, (s, t, _) in enumerate(commodities):
-        keep = np.array([v for v in range(n) if v != t])
-        block = incidence[keep]
-        padded = sparse.hstack(
-            [
-                sparse.csr_matrix((n - 1, ci * m)),
-                block,
-                sparse.csr_matrix((n - 1, (k - ci - 1) * m + 1)),
-            ]
-        )
-        eq_rows.append(padded)
-        # Net outflow (in fraction units) is 1 at the source, 0 elsewhere.
-        rhs = np.array([1.0 if v == s else 0.0 for v in keep])
-        eq_rhs.append(rhs)
-    a_eq = sparse.vstack(eq_rows).tocsr()
-    b_eq = np.concatenate(eq_rhs)
-
-    ub = sparse.lil_matrix((m, num_vars))
-    for e in range(m):
-        for ci, (_, _, d) in enumerate(commodities):
-            ub[e, ci * m + e] = d
-        ub[e, u_index] = -float(network.capacities[e])
-    a_ub = ub.tocsr()
-    b_ub = np.zeros(m)
-
-    cost = np.zeros(num_vars)
-    cost[u_index] = 1.0
-
-    result = linprog(
-        cost,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=(0, None),
-        method="highs",
-    )
-    if not result.success:
-        raise InfeasibleRoutingError(
-            f"per-pair MCF LP failed on {network!r}: {result.message}"
-        )
-
-    solution = result.x
-    fractions = solution[: k * m].reshape(k, m)
-    demands = np.array([d for _, _, d in commodities])
-    commodity_flows = fractions * demands[:, None]
-    edge_flows = commodity_flows.sum(axis=0)
-    return OptimalRouting(float(solution[u_index]), edge_flows, commodity_flows)
-
-
 # ---------------------------------------------------------------------------
 # Optimum memoisation: in-memory LRU + optional on-disk persistence
 # ---------------------------------------------------------------------------
@@ -960,7 +784,6 @@ __all__ = [
     "direct_solver_available",
     "network_fingerprint",
     "shared_lp_cache",
-    "solve_mcf_per_pair",
     "solve_optimal_average_utilisation",
     "solve_optimal_max_utilisation",
     "use_lp_cache",

@@ -210,7 +210,7 @@ class Network:
                 raise ValueError(
                     f"weights has shape {weights.shape}, expected ({self.num_edges},)"
                 )
-            if np.any(weights < 0.0):
+            if not np.all(weights >= 0.0):  # also rejects NaN
                 raise ValueError("shortest-path weights must be non-negative")
         if target is not None:
             return self._distances_to(int(target), weights)

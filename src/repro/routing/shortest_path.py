@@ -34,7 +34,7 @@ def _resolve_weights(network: Network, weights: Optional[np.ndarray]) -> np.ndar
         raise ValueError(
             f"weights has shape {weights.shape}, expected ({network.num_edges},)"
         )
-    if np.any(weights <= 0.0):
+    if not np.all(weights > 0.0):  # also rejects NaN
         raise ValueError("shortest-path weights must be strictly positive")
     return weights
 

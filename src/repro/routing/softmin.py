@@ -12,12 +12,10 @@ translation works per flow ``(s, t)``:
 
 With the default ``distance`` pruner the DAG — and therefore the ratios —
 depends only on the destination, so the result is a
-:class:`~repro.routing.strategy.DestinationRouting`.  By default the whole
-table is produced by the vectorized batch engine
-(:func:`repro.engine.batch_softmin_ratios`), which computes every
-destination at once; pass ``vectorized=False`` to run the original
-per-destination scalar loops, kept as the reference implementation.  The
-``frontier`` pruner (the paper's Figure 3) is per-(source, target); the
+:class:`~repro.routing.strategy.DestinationRouting` whose whole table is
+produced by the vectorized batch engine
+(:func:`repro.engine.batch_softmin_ratios`), every destination at once.
+The ``frontier`` pruner (the paper's Figure 3) is per-(source, target); the
 result is then a per-flow :class:`~repro.routing.strategy.FlowRouting`.
 """
 
@@ -30,7 +28,7 @@ import numpy as np
 
 from repro.engine.softmin_batch import batch_softmin_ratios
 from repro.graphs.network import Network
-from repro.routing.dag import prune_by_distance, prune_graph_frontier
+from repro.routing.dag import prune_graph_frontier
 from repro.routing.strategy import DestinationRouting, FlowRouting, RoutingStrategy
 
 DEFAULT_GAMMA = 2.0
@@ -118,7 +116,6 @@ def softmin_routing(
     gamma: float = DEFAULT_GAMMA,
     pruner: str = "distance",
     pairs: Optional[Iterable[tuple[int, int]]] = None,
-    vectorized: bool = True,
 ) -> RoutingStrategy:
     """Derive a full routing strategy from edge weights (paper Fig. 2).
 
@@ -138,10 +135,6 @@ def softmin_routing(
     pairs:
         For the ``frontier`` pruner, which (s, t) flows to materialise;
         defaults to every ordered pair.  Ignored by ``distance``.
-    vectorized:
-        Use the batch engine for the ``distance`` pruner (default).  The
-        scalar per-destination path is kept for reference and equivalence
-        testing.  Ignored by ``frontier``.
 
     Returns
     -------
@@ -152,14 +145,7 @@ def softmin_routing(
     if gamma < 0.0:
         raise ValueError(f"gamma must be non-negative, got {gamma}")
     if pruner == "distance":
-        if vectorized:
-            table = batch_softmin_ratios(network, weights, gamma)
-        else:
-            table = np.zeros((network.num_nodes, network.num_edges))
-            for t in range(network.num_nodes):
-                mask = prune_by_distance(network, weights, t)
-                table[t] = _ratios_for_mask(network, weights, mask, t, gamma)
-        return DestinationRouting(network, table)
+        return DestinationRouting(network, batch_softmin_ratios(network, weights, gamma))
     if pruner == "frontier":
         if pairs is None:
             pairs = [

@@ -2,7 +2,7 @@
 
 The engine must be a drop-in replacement for the scalar routing/simulation
 pipeline: every test here pins the batched implementations against the
-scalar reference paths (``vectorized=False``) to 1e-8 on random graphs, and
+scalar references in ``tests/oracles.py`` to 1e-8 on random graphs, and
 checks the batch-evaluation API reproduces the environment-driven results.
 """
 
@@ -42,6 +42,7 @@ from repro.routing.shortest_path import shortest_path_routing
 from repro.routing.softmin import softmin_routing
 from repro.traffic import bimodal_matrix, cyclical_sequence, sparse_matrix
 from repro.traffic.sequences import DemandSequence
+from tests import oracles
 from tests.helpers import triangle_network
 
 
@@ -83,7 +84,7 @@ class TestBatchSoftmin:
     def test_matches_scalar_table(self, seed, gamma):
         net, weights = random_case(seed)
         batched = softmin_routing(net, weights, gamma=gamma)
-        scalar = softmin_routing(net, weights, gamma=gamma, vectorized=False)
+        scalar = oracles.softmin_routing(net, weights, gamma=gamma)
         np.testing.assert_allclose(
             batched.destination_table(), scalar.destination_table(), atol=1e-8
         )
@@ -93,7 +94,7 @@ class TestBatchSoftmin:
         weights = np.random.default_rng(11).uniform(0.3, 3.0, net.num_edges)
         np.testing.assert_allclose(
             batch_softmin_ratios(net, weights, 2.0),
-            softmin_routing(net, weights, gamma=2.0, vectorized=False).destination_table(),
+            oracles.softmin_routing(net, weights, gamma=2.0).destination_table(),
             atol=1e-8,
         )
 
@@ -111,7 +112,7 @@ class TestBatchSimulator:
         demand = bimodal_matrix(net.num_nodes, seed=seed)
         np.testing.assert_allclose(
             link_loads(net, routing, demand),
-            link_loads(net, routing, demand, vectorized=False),
+            oracles.link_loads(net, routing, demand),
             atol=1e-8,
         )
 
@@ -122,7 +123,7 @@ class TestBatchSimulator:
         demand = sparse_matrix(net.num_nodes, seed=7, density=0.4)
         np.testing.assert_allclose(
             link_loads(net, routing, demand),
-            link_loads(net, routing, demand, vectorized=False),
+            oracles.link_loads(net, routing, demand),
             atol=1e-8,
         )
 
@@ -135,7 +136,7 @@ class TestBatchSimulator:
         for step in range(demands.shape[0]):
             np.testing.assert_allclose(
                 batched[step],
-                link_loads(net, routing, demands[step], vectorized=False),
+                oracles.link_loads(net, routing, demands[step]),
                 atol=1e-8,
             )
 
@@ -205,7 +206,7 @@ class TestSparseBackend:
         demand = bimodal_matrix(net.num_nodes, seed=9)
         np.testing.assert_allclose(
             link_loads(net, routing, demand, backend="sparse"),
-            link_loads(net, routing, demand, vectorized=False),
+            oracles.link_loads(net, routing, demand),
             atol=1e-8,
         )
 

@@ -25,17 +25,15 @@ from repro.flows.lp import (
     LinearProgramStructure,
     LPOptimumStore,
     OptimalUtilisationCache,
-    _loop_assemble,
-    _reference_solve,
     demand_destinations,
     direct_solver_available,
     network_fingerprint,
-    solve_mcf_per_pair,
     solve_optimal_average_utilisation,
     solve_optimal_max_utilisation,
 )
 from repro.graphs import Network, abilene, random_connected_network, topology
 from repro.traffic import bimodal_matrix, gravity_matrix, sparse_matrix
+from tests import oracles
 from tests.helpers import line_network, square_network, triangle_network
 
 
@@ -113,24 +111,41 @@ class TestFormulationEquivalence:
         net = random_connected_network(6, 4, seed=seed, capacity=100.0)
         dm = bimodal_matrix(6, seed=seed, low_mean=10.0, high_mean=30.0, std=3.0)
         agg = solve_optimal_max_utilisation(net, dm).max_utilisation
-        pair = solve_mcf_per_pair(net, dm).max_utilisation
+        pair = oracles.solve_mcf_per_pair(net, dm).max_utilisation
         assert agg == pytest.approx(pair, rel=1e-6)
 
     def test_abilene_bimodal(self):
         net = abilene()
         dm = bimodal_matrix(net.num_nodes, seed=42)
         agg = solve_optimal_max_utilisation(net, dm).max_utilisation
-        pair = solve_mcf_per_pair(net, dm).max_utilisation
+        pair = oracles.solve_mcf_per_pair(net, dm).max_utilisation
         assert agg == pytest.approx(pair, rel=1e-6)
 
     def test_per_pair_zero_demand(self):
-        assert solve_mcf_per_pair(triangle_network(), np.zeros((3, 3))).is_zero
+        assert oracles.solve_mcf_per_pair(triangle_network(), np.zeros((3, 3))).is_zero
 
 
 class TestValidation:
     def test_rejects_negative_demand(self):
         with pytest.raises(ValueError, match="non-negative"):
             solve_optimal_max_utilisation(triangle_network(), -np.ones((3, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_demand(self, bad):
+        # A NaN column used to drop out of the destination support and
+        # solve to the optimum of the remaining demands.
+        net = abilene()
+        dm = np.zeros((net.num_nodes, net.num_nodes))
+        dm[0, 5] = 10.0
+        dm[1, 6] = bad
+        for solve in (
+            solve_optimal_max_utilisation,
+            solve_optimal_average_utilisation,
+            oracles.reference_solve,
+            oracles.solve_mcf_per_pair,
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                solve(net, dm)
 
     def test_rejects_nonzero_diagonal(self):
         dm = np.zeros((3, 3))
@@ -165,7 +180,7 @@ class TestVectorizedAssembly:
         dm = bimodal_matrix(net.num_nodes, seed=seed)
         destinations = demand_destinations(dm)
         structure = LinearProgramStructure(net, destinations, objective)
-        a_eq, a_ub, cost = _loop_assemble(net, destinations, objective)
+        a_eq, a_ub, cost = oracles.loop_assemble(net, destinations, objective)
         np.testing.assert_array_equal(structure.a_eq.toarray(), a_eq.toarray())
         if objective == "max":
             np.testing.assert_array_equal(structure.a_ub.toarray(), a_ub.toarray())
@@ -182,7 +197,7 @@ class TestVectorizedAssembly:
         destinations = demand_destinations(dm)
         np.testing.assert_array_equal(destinations, [1, 7])
         structure = LinearProgramStructure(net, destinations)
-        a_eq, a_ub, _ = _loop_assemble(net, destinations)
+        a_eq, a_ub, _ = oracles.loop_assemble(net, destinations)
         np.testing.assert_array_equal(structure.a_eq.toarray(), a_eq.toarray())
         np.testing.assert_array_equal(structure.a_ub.toarray(), a_ub.toarray())
 
@@ -204,7 +219,7 @@ class TestVectorizedAssembly:
         with pytest.raises(ValueError, match="objective"):
             LinearProgramStructure(net, [0], "median")
         with pytest.raises(ValueError, match="objective"):
-            _loop_assemble(net, [0], "median")
+            oracles.loop_assemble(net, [0], "median")
 
 
 class TestStructureCache:
@@ -233,8 +248,8 @@ class TestStructureCache:
         rescaled = np.where(base > 0.0, base * rng.uniform(0.5, 2.0, base.shape), 0.0)
         resolved = solve_optimal_max_utilisation(net, rescaled, lp_cache=cache)
         assert cache.hits >= 1  # the second solve reused the structure
-        fresh = _reference_solve(net, rescaled).max_utilisation
-        oracle = solve_mcf_per_pair(net, rescaled).max_utilisation
+        fresh = oracles.reference_solve(net, rescaled).max_utilisation
+        oracle = oracles.solve_mcf_per_pair(net, rescaled).max_utilisation
         assert resolved.max_utilisation == pytest.approx(fresh, abs=1e-8)
         assert resolved.max_utilisation == pytest.approx(oracle, abs=1e-8)
 

@@ -193,8 +193,11 @@ class TestShortestPaths:
 
     def test_rejects_negative_weights(self):
         net = triangle_network()
-        with pytest.raises(ValueError, match="non-negative"):
-            net.shortest_path_distances(-np.ones(net.num_edges))
+        nan_weight = np.ones(net.num_edges)
+        nan_weight[0] = np.nan
+        for weights in (-np.ones(net.num_edges), nan_weight):
+            with pytest.raises(ValueError, match="non-negative"):
+                net.shortest_path_distances(weights)
 
     def test_rejects_wrong_weight_shape(self):
         net = triangle_network()

@@ -12,6 +12,7 @@ from repro.api.presets import (
 from repro.api.results import EvaluationResult, LearningCurve, ScenarioResult
 from repro.experiments.reporting import _bar, format_scenario
 from repro.experiments.runner import build_parser, main
+from benchmarks import engine_bench
 
 
 def eval_result(mean):
@@ -149,61 +150,60 @@ class TestRunnerCLI:
 
 
 class TestBenchPresets:
+    """``benchmarks/engine_bench.py``: the engine/backend/LP timing script."""
+
+    def test_runner_has_no_bench_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench"])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_bench_parser_accepts_preset(self):
-        args = build_parser().parse_args(["bench", "--preset", "standard"])
-        assert args.command == "bench"
+        args = engine_bench.build_parser().parse_args(["--preset", "standard"])
         assert args.preset == "standard"
 
     def test_bench_workload_scales_with_preset(self):
-        from repro.engine.benchmark import BENCH_WORKLOADS, bench_workload
-
-        assert set(BENCH_WORKLOADS) == {"quick", "standard", "paper"}
+        assert set(engine_bench.BENCH_WORKLOADS) == {"quick", "standard", "paper"}
         quick, standard, paper = (
-            bench_workload("quick"), bench_workload("standard"), bench_workload("paper")
+            engine_bench.bench_workload(preset) for preset in ("quick", "standard", "paper")
         )
         assert quick["num_nodes"] < standard["num_nodes"] < paper["num_nodes"]
         assert quick["num_matrices"] < standard["num_matrices"] < paper["num_matrices"]
 
     def test_bench_workload_unknown_preset(self):
-        from repro.engine.benchmark import bench_workload
-
         with pytest.raises(ValueError, match="unknown bench preset"):
-            bench_workload("galactic")
+            engine_bench.bench_workload("galactic")
 
     def test_bench_parser_accepts_sparse_nodes(self):
-        args = build_parser().parse_args(["bench", "--sparse-nodes", "320"])
-        assert args.sparse_nodes == 320
-        assert build_parser().parse_args(["bench"]).sparse_nodes is None
+        parser = engine_bench.build_parser()
+        assert parser.parse_args(["--sparse-nodes", "320"]).sparse_nodes == 320
+        assert parser.parse_args([]).sparse_nodes is None
 
     def test_bench_rejects_tiny_sparse_nodes(self, capsys):
-        assert main(["bench", "--sparse-nodes", "4"]) == 2
+        assert engine_bench.main(["--sparse-nodes", "4"]) == 2
         assert "--sparse-nodes" in capsys.readouterr().err
 
     def test_sparse_bench_nodes_scales_with_preset(self):
-        from repro.engine.benchmark import SPARSE_BENCH_NODES, sparse_bench_nodes
-
-        assert set(SPARSE_BENCH_NODES) == {"quick", "standard", "paper"}
-        for preset, sizes in SPARSE_BENCH_NODES.items():
-            assert sparse_bench_nodes(preset) == sizes
+        nodes = engine_bench.SPARSE_BENCH_NODES
+        assert set(nodes) == {"quick", "standard", "paper"}
+        for preset, sizes in nodes.items():
+            assert engine_bench.sparse_bench_nodes(preset) == sizes
             assert sizes == tuple(sorted(sizes))
         with pytest.raises(ValueError, match="unknown bench preset"):
-            sparse_bench_nodes("galactic")
+            engine_bench.sparse_bench_nodes("galactic")
 
     def test_format_backend_bench_rows(self):
-        from repro.engine.benchmark import BackendBenchmark
-        from repro.experiments.reporting import format_backend_bench
-
         rows = [
-            BackendBenchmark(
+            engine_bench.BackendBenchmark(
                 num_nodes=96, num_edges=254, num_matrices=4,
                 dense_seconds=0.009, sparse_seconds=0.035, auto_backend="dense",
             ),
-            BackendBenchmark(
+            engine_bench.BackendBenchmark(
                 num_nodes=256, num_edges=680, num_matrices=4,
                 dense_seconds=0.27, sparse_seconds=0.15, auto_backend="sparse",
             ),
         ]
-        text = format_backend_bench(rows)
+        text = engine_bench.format_backend_bench(rows)
         assert "dense stacked LAPACK" in text
         assert "96" in text and "256" in text
         assert "0.26x" in text  # dense wins at the small size

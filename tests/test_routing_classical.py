@@ -51,8 +51,12 @@ class TestShortestPath:
 
     def test_rejects_nonpositive_weights(self):
         net = triangle_network()
-        with pytest.raises(ValueError, match="positive"):
-            shortest_path_routing(net, np.zeros(net.num_edges))
+        nan_weight = np.ones(net.num_edges)
+        nan_weight[0] = np.nan  # NaN fails every comparison; must not drop the link
+        for weights in (np.zeros(net.num_edges), nan_weight):
+            for build in (shortest_path_routing, ecmp_routing):
+                with pytest.raises(ValueError, match="positive"):
+                    build(net, weights)
 
     def test_rejects_bad_weight_shape(self):
         with pytest.raises(ValueError, match="shape"):

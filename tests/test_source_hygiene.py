@@ -1,8 +1,8 @@
 """Source hygiene: the CI lint gate's name checks, runnable without ruff.
 
 Three properties over every Python file in ``src``, ``tests``,
-``benchmarks`` and ``examples``, checked with ``ast`` and ``importlib``
-only:
+``benchmarks`` and ``examples``, plus one over ``src`` alone, checked with
+``ast`` and ``importlib`` only:
 
 * no unused imports (ruff/pyflakes F401) outside ``__init__.py``, which
   the ruff configuration exempts, honouring ``# noqa`` comments;
@@ -10,7 +10,9 @@ only:
   that file or is a builtin, honouring ``# noqa`` comments;
 * every absolute ``repro.*`` import (the codebase uses no relative ones)
   names a module that exists and a name that module provides — including
-  imports deferred into function bodies and scripts that no test runs.
+  imports deferred into function bodies and scripts that no test runs;
+* nothing under ``src`` imports ``tests`` or ``benchmarks``, which hold the
+  reference oracles and timing harnesses and do not ship with the package.
 """
 
 import ast
@@ -193,6 +195,28 @@ def undefined_names(source: str, label: str) -> list:
     return [finding for _, finding in sorted(findings)]
 
 
+#: Top-level packages production code must not import.
+NON_PRODUCTION = ("tests", "benchmarks")
+
+
+def non_production_imports(source: str, label: str) -> list:
+    """``label:line: imports 'module'`` for each import of a non-production package."""
+    findings = []
+    for _, node in imports_by_scope(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        findings += [
+            (node.lineno, f"{label}:{node.lineno}: imports {module!r}")
+            for module in modules
+            if module.split(".")[0] in NON_PRODUCTION
+        ]
+    return [finding for _, finding in sorted(findings)]
+
+
 def module_exists(name: str) -> bool:
     try:
         return importlib.util.find_spec(name) is not None
@@ -261,6 +285,32 @@ def test_no_undefined_names():
 def test_repro_imports_resolve():
     findings = [finding for path in python_files() for finding in dangling_repro_imports(path)]
     assert findings == [], "\n".join(findings)
+
+
+def test_src_imports_no_tests_or_benchmarks():
+    findings = [
+        finding
+        for path in sorted((REPO / "src").rglob("*.py"))
+        for finding in non_production_imports(
+            path.read_text(encoding="utf-8"), str(path.relative_to(REPO))
+        )
+    ]
+    assert findings == [], "\n".join(findings)
+
+
+def test_non_production_import_checker_flags_nested_imports():
+    source = (
+        "import benchmarks.engine_bench\n"
+        "from repro.flows import lp\n"
+        "from . import tests\n"
+        "def f():\n"
+        "    from tests import oracles\n"
+        "    import testsuite\n"
+    )
+    assert non_production_imports(source, "sample.py") == [
+        "sample.py:1: imports 'benchmarks.engine_bench'",
+        "sample.py:5: imports 'tests'",
+    ]
 
 
 def test_unused_import_checker_flags_and_honours_noqa():
